@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import pytest
 
 from repro import BENCHMARK_NAMES, benchmark_spec, run_sweep
 from repro.binding import SATable
-from repro.flow import BinderConfig, FlowResult, SweepSpec
+from repro.flow import BinderConfig, FlowResult, SweepSpec, format_table
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _TABLE_PATH = os.path.join(_REPO_ROOT, "data", "sa_table.txt")
@@ -118,3 +118,30 @@ def write_result(filename: str, text: str) -> None:
         handle.write(text + "\n")
     print()
     print(text)
+
+
+def write_split_result(
+    stem: str,
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    timing_columns: Sequence[int],
+) -> None:
+    """Persist a table whose ``timing_columns`` hold wall-clock times.
+
+    The deterministic columns go to the tracked ``<stem>.txt``; the
+    first column plus the timing columns go to ``<stem>_runtime.txt``,
+    which is git-ignored, so a bench run never leaves timing noise in
+    tracked files.
+    """
+    kept = [i for i in range(len(headers)) if i not in timing_columns]
+    timed = [0, *timing_columns]
+    write_result(f"{stem}.txt", format_table(
+        [headers[i] for i in kept], [[row[i] for i in kept] for row in rows],
+        title=title,
+    ))
+    write_result(f"{stem}_runtime.txt", format_table(
+        [headers[i] for i in timed],
+        [[row[i] for i in timed] for row in rows],
+        title=f"{title} (wall-clock columns)",
+    ))

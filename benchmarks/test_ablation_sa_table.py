@@ -20,9 +20,8 @@ from repro.binding import (
     bind_registers,
 )
 from repro.binding.sa_table import SATableConfig
-from repro.flow import format_table
 
-from benchmarks.conftest import bench_names, write_result
+from benchmarks.conftest import bench_names, write_split_result
 
 
 class DynamicSATable(SATable):
@@ -87,15 +86,14 @@ def test_ablation_sa_table(benchmark, sa_table):
     rows, all_identical, speedups = benchmark.pedantic(
         compare_modes, args=(sa_table,), rounds=1, iterations=1
     )
-    text = format_table(
+    write_split_result(
+        "ablation_sa_table",
+        "Ablation: precalculated SA table vs dynamic estimation "
+        "(paper: identical results, much faster)",
         ["Bench", "Identical binding", "Table (s)", "Dynamic (s)", "Speedup"],
         rows,
-        title=(
-            "Ablation: precalculated SA table vs dynamic estimation "
-            "(paper: identical results, much faster)"
-        ),
+        timing_columns=[2, 3, 4],
     )
-    write_result("ablation_sa_table.txt", text)
 
     assert all_identical
     assert max(speedups) > 2.0

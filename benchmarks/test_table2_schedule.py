@@ -10,9 +10,8 @@ import time
 
 from repro import benchmark_spec, list_schedule, load_benchmark
 from repro.binding import HLPowerConfig, bind_hlpower, bind_registers
-from repro.flow import format_table
 
-from benchmarks.conftest import bench_names, write_result
+from benchmarks.conftest import bench_names, write_split_result
 
 
 def build_table2_rows(sa_table):
@@ -50,15 +49,16 @@ def test_table2_schedule(benchmark, sa_table):
     rows = benchmark.pedantic(
         build_table2_rows, args=(sa_table,), rounds=1, iterations=1
     )
-    text = format_table(
+    write_split_result(
+        "table2",
+        "Table 2: Constraints, schedule length, registers, runtime",
         [
             "Bench", "Add", "Mult", "Cycle", "Paper cyc",
             "Reg", "Paper reg", "Runtime(s)", "Paper rt(s)",
         ],
         rows,
-        title="Table 2: Constraints, schedule length, registers, runtime",
+        timing_columns=[7],
     )
-    write_result("table2.txt", text)
 
     for row in rows:
         name = row[0]

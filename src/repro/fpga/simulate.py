@@ -19,22 +19,27 @@ Model:
 * at the end of the step all flip-flops clock simultaneously (their
   output toggles are the register power contribution).
 
-Two interchangeable kernels implement that model:
+Two kernels implement that model:
 
-* ``kernel="event"`` (default) — an event-driven kernel over a
-  *compiled netlist*: elaboration-time lowering assigns every net a
-  dense integer id, per-gate evaluators/delays/fanout arrays are built
-  once per netlist (see :func:`compile_netlist`, cached on the netlist
-  object), and settling walks a time-wheel event queue. Lane state in
-  this kernel is one packed arbitrary-precision integer per net (bit
-  ``i`` is lane ``i``): at the few-hundred-lane word counts the flow
-  uses, CPython's big-int bitwise ops run an order of magnitude faster
-  than dispatching numpy ufuncs on 4-word arrays, and they are exact —
-  numpy appears only at the pack/unpack boundaries;
+* ``kernel="event"`` (default) — the netlist is lowered once to dense
+  integer ids and flat arrays (see :func:`compile_netlist`, cached on
+  the netlist object). :func:`simulate_design` then runs the whole
+  simulation — the power-on settle, every step's drives, both settles
+  per step and all toggle counters — in one call into a native C
+  kernel (``settle.c``) over an ``(n_nets, n_words)`` ``uint64`` lane
+  state, walking a ring-buffer time wheel. The kernel is compiled with
+  the system C compiler on the first simulation in a process and
+  cached per user (see :mod:`repro.fpga.native`). Without a compiler,
+  or for a gate wider than :data:`repro.fpga.native.MAX_ARITY` inputs,
+  ``simulate_design`` runs :func:`simulate_batch` with one
+  configuration instead — byte-identical, slower — after a
+  ``RuntimeWarning`` naming the cause.
+  :func:`simulate_batch` settles many configurations of one netlist
+  in a single Python event loop over packed big ints (sweeps use it);
 * ``kernel="reference"`` — the original timed-waveform implementation,
   kept verbatim as the differential-testing oracle.
 
-Both kernels produce byte-identical :class:`SimulationResult` records
+Every path produces byte-identical :class:`SimulationResult` records
 (the differential suite pins this across every built-in benchmark,
 both idle conventions and jittered delays).
 
@@ -44,6 +49,7 @@ semantics (modular add/sub/mult) via :func:`golden_outputs`.
 
 from __future__ import annotations
 
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -52,6 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.fpga import native
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.vectors import (
     VectorSet,
@@ -244,10 +251,10 @@ def _int_to_words(value: int, words: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compiled netlist: the integer-indexed form both the event kernel and the
-# per-step driving loop operate on. Built once per (netlist, jitter) and
-# cached on the netlist object itself, so repeated simulations of the same
-# design (differential tests, sweeps, benches) skip elaboration entirely.
+# Compiled netlist: the integer-indexed form the native kernel and the
+# batched kernel operate on. Built once per (netlist, jitter) and cached on
+# the netlist object itself, so repeated simulations of the same design
+# (differential tests, sweeps, benches) skip the lowering entirely.
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +285,16 @@ class CompiledNetlist:
     fanout_gates: List[List[int]]
     #: Per latch (declaration order): (output net id, data net id).
     latch_pairs: List[Tuple[int, int]]
+    #: The native kernel's flat int32 lowering of the fields above, in
+    #: ``struct repro_sim`` order: gate outputs, CSR fanins
+    #: (``fanin_ptr``, ``fanin``), CSR fanouts (``fanout_ptr``,
+    #: ``fanout``), truth-table bits as CSR uint32 words (``table_ptr``,
+    #: ``table``), gate delays, latch outputs, latch data nets. ``None``
+    #: when a gate is wider than the kernel's
+    #: :data:`~repro.fpga.native.MAX_ARITY`.
+    native_arrays: Optional[Tuple[np.ndarray, ...]]
+    #: Widest gate (most fanins) in the netlist.
+    max_arity: int
     #: Cheap staleness guard for the per-netlist cache.
     signature: Tuple[int, int, int]
 
@@ -342,6 +359,8 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
         (net_id[latch.output], net_id[latch.data])
         for latch in netlist.latches.values()
     ]
+    tables = [netlist.gates[name].table for name in topo]
+    max_arity = max((table.n_inputs for table in tables), default=0)
     return CompiledNetlist(
         jitter=jitter,
         n_nets=len(net_names),
@@ -353,7 +372,52 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
         gate_delays=gate_delays,
         fanout_gates=fanout_gates,
         latch_pairs=latch_pairs,
+        native_arrays=_native_arrays(
+            gate_outputs, gate_fanins, tables, gate_delays, fanout_gates,
+            latch_pairs,
+        ) if max_arity <= native.MAX_ARITY else None,
+        max_arity=max_arity,
         signature=_netlist_signature(netlist),
+    )
+
+
+def _csr(rows, dtype=np.int32) -> Tuple[np.ndarray, np.ndarray]:
+    """int32 row pointers and flat ``dtype`` values of int rows."""
+    pointer = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([len(row) for row in rows], out=pointer[1:])
+    flat = np.fromiter(
+        (item for row in rows for item in row), dtype=dtype,
+        count=int(pointer[-1]),
+    )
+    return pointer, flat
+
+
+def _table_words(table: TruthTable) -> Tuple[int, ...]:
+    """A truth table's bits as little-endian uint32 words."""
+    count = ((1 << table.n_inputs) + 31) >> 5
+    return tuple((table.bits >> (32 * i)) & 0xFFFFFFFF for i in range(count))
+
+
+def _native_arrays(
+    gate_outputs: List[int],
+    gate_fanins: List[Tuple[int, ...]],
+    tables: List[TruthTable],
+    gate_delays: List[int],
+    fanout_gates: List[List[int]],
+    latch_pairs: List[Tuple[int, int]],
+) -> Tuple[np.ndarray, ...]:
+    fanin_ptr, fanin = _csr(gate_fanins)
+    fanout_ptr, fanout = _csr(fanout_gates)
+    table_ptr, table = _csr(
+        [_table_words(table) for table in tables], dtype=np.uint32
+    )
+    return (
+        np.asarray(gate_outputs, dtype=np.int32),
+        fanin_ptr, fanin, fanout_ptr, fanout,
+        table_ptr, table,
+        np.asarray(gate_delays, dtype=np.int32),
+        np.asarray([q for q, _ in latch_pairs], dtype=np.int32),
+        np.asarray([d for _, d in latch_pairs], dtype=np.int32),
     )
 
 
@@ -384,7 +448,8 @@ def simulate_design(
     ablation bench).
 
     ``kernel`` selects the implementation: ``"event"`` (default) is the
-    compiled event-driven kernel; ``"reference"`` is the original
+    native event-driven kernel (the batch kernel when it is unavailable,
+    see the module docstring); ``"reference"`` is the original
     timed-waveform loop kept as the differential-testing oracle. Both
     produce byte-identical results.
     """
@@ -399,185 +464,91 @@ def simulate_design(
         )
 
     netlist = design.netlist
+    compiled = compile_netlist(netlist, delay_jitter)
+    if compiled.native_arrays is None:
+        warnings.warn(
+            f"{netlist.name}: a gate has {compiled.max_arity} inputs, more "
+            f"than the native settle kernel's {native.MAX_ARITY}; "
+            f"simulating with the batch kernel",
+            RuntimeWarning, stacklevel=2,
+        )
+        library = None
+    else:
+        library = native.load()
+    if library is None:
+        return simulate_batch(
+            design, [BatchConfig(vectors, idle_selects, delay_jitter)],
+            collect_per_net,
+        )[0]
+
     lanes = vectors.lanes
     words = n_words(lanes)
-    ones = (1 << lanes) - 1
-    compiled = compile_netlist(netlist, delay_jitter)
     net_id = compiled.net_id
-
-    controller = build_controller(design.datapath)
-    control_values = controller.resolved(idle_selects)
-
-    # One packed big int per net (bit i = lane i), indexed by dense id.
-    state: List[int] = [0] * compiled.n_nets
-
-    # Settle the all-zero state without counting (power-on, as in the
-    # paper's simulator warm-up before vectors apply).
-    gate_outputs = compiled.gate_outputs
-    gate_fanins = compiled.gate_fanins
-    gate_evals = compiled.gate_evals
-    for position in range(compiled.n_gates):
-        values = [state[i] for i in gate_fanins[position]]
-        state[gate_outputs[position]] = gate_evals[position](values, ones)
-
-    counters = {"comb": 0, "reg": 0, "pad": 0, "control": 0}
-    net_toggles: Optional[List[int]] = (
-        [0] * compiled.n_nets if collect_per_net else None
-    )
-
-    def drive(index: int, new_value: int, category: str,
-              changed: List[int]) -> None:
-        delta = state[index] ^ new_value
-        if delta:
-            toggles = delta.bit_count()
-            counters[category] += toggles
-            if net_toggles is not None:
-                net_toggles[index] += toggles
-            state[index] = new_value
-            changed.append(index)
-
     n_steps = len(design.datapath.control)
-    for step in range(n_steps):
-        changed: List[int] = []
 
-        # Pads present their vector at the load step.
-        if step == 0:
-            for position, nets in design.pad_nets.items():
-                for bit, net in enumerate(nets):
-                    drive(
-                        net_id[net],
-                        _words_to_int(vectors.pad_words(position, bit)),
-                        "pad", changed,
-                    )
+    # Pads present their vector at the load step (step 0).
+    pad_nets = [
+        (net_id[net], vectors.pad_words(position, bit))
+        for position, nets in design.pad_nets.items()
+        for bit, net in enumerate(nets)
+    ]
+    pad_value = np.zeros((len(pad_nets), words), dtype=np.uint64)
+    for row, (_, value) in enumerate(pad_nets):
+        if len(value) != words:
+            raise SimulationError(
+                f"pad stimulus has {len(value)} words per bit; "
+                f"{lanes} lanes need {words}"
+            )
+        pad_value[row] = value
 
-        # Control signals take this step's value.
-        for name, nets in design.control_nets.items():
-            value = control_values.get(name)
-            if value is None:
-                continue
-            step_value = value[step]
-            for bit, net in enumerate(nets):
-                bit_set = bool((step_value >> bit) & 1)
-                drive(net_id[net], ones if bit_set else 0,
-                      "control", changed)
+    # Control signals take each step's value; a signal the idle
+    # convention leaves undriven keeps its value.
+    control_values = build_controller(design.datapath).resolved(idle_selects)
+    control_nets: List[int] = []
+    control_columns: List[List[int]] = []
+    for name, nets in design.control_nets.items():
+        value = control_values.get(name)
+        if value is None:
+            continue
+        for bit, net in enumerate(nets):
+            control_nets.append(net_id[net])
+            control_columns.append(
+                [(value[step] >> bit) & 1 for step in range(n_steps)]
+            )
+    control_bit = np.zeros((n_steps, len(control_nets)), dtype=np.uint8)
+    for column, bits in enumerate(control_columns):
+        control_bit[:, column] = bits
 
-        _settle_events(compiled, state, changed, ones, counters,
-                       net_toggles)
-
-        # Clock edge: all flip-flops load their data nets. Data values
-        # are read out first — flops clock simultaneously.
-        updates = [
-            (q_index, state[data_index])
-            for q_index, data_index in compiled.latch_pairs
-        ]
-        changed = []
-        for q_index, new_q in updates:
-            drive(q_index, new_q, "reg", changed)
-        # Settle after the clock edge (counted — the paper's simulator
-        # sees these transitions too, including after the final edge).
-        _settle_events(compiled, state, changed, ones, counters,
-                       net_toggles)
+    state, net_toggles, counters = native.simulate(
+        library, compiled.native_arrays, compiled.n_nets, lanes, n_steps,
+        np.asarray([index for index, _ in pad_nets], dtype=np.int32),
+        pad_value, np.asarray(control_nets, dtype=np.int32), control_bit,
+    )
 
     outputs: Dict[int, List[int]] = {}
     for position, nets in design.output_nets.items():
-        rows = [_int_to_words(state[net_id[net]], words) for net in nets]
+        rows = [state[net_id[net]] for net in nets]
         outputs[position] = [
             int(value) for value in unpack_lane_values(rows, lanes)
         ]
 
     per_net: Dict[str, int] = {}
-    if net_toggles is not None:
+    if collect_per_net:
         names = compiled.net_names
-        for index, toggles in enumerate(net_toggles):
-            if toggles:
-                per_net[names[index]] = toggles
+        for index in np.flatnonzero(net_toggles):
+            per_net[names[index]] = int(net_toggles[index])
 
+    comb, reg, pad, control = (int(count) for count in counters)
     return SimulationResult(
         lanes=lanes,
         steps=n_steps,
-        comb_toggles=counters["comb"],
-        register_toggles=counters["reg"],
-        pad_toggles=counters["pad"],
-        control_toggles=counters["control"],
+        comb_toggles=comb,
+        register_toggles=reg,
+        pad_toggles=pad,
+        control_toggles=control,
         per_net=per_net,
         outputs=outputs,
     )
-
-
-def _settle_events(
-    compiled: CompiledNetlist,
-    state: List[int],
-    changed: List[int],
-    ones: int,
-    counters: Dict[str, int],
-    net_toggles: Optional[List[int]],
-) -> None:
-    """Event-driven settling after source changes at time 0.
-
-    ``changed`` lists net ids whose ``state`` entries already hold the
-    new time-0 value. The wheel walks time forward one tick at a time:
-    at each tick the pending transitions for that tick are applied to
-    ``state``, then every gate with a fanin among them re-evaluates.
-    A gate whose evaluation differs from its previous evaluation
-    schedules its output transition ``delay`` ticks later and counts
-    ``popcount(change)`` toggles — the same accounting as the reference
-    waveform loop, just discovered in time order instead of per-gate.
-    """
-    if not changed:
-        return
-    fanout_gates = compiled.fanout_gates
-    gate_outputs = compiled.gate_outputs
-    gate_fanins = compiled.gate_fanins
-    gate_evals = compiled.gate_evals
-    gate_delays = compiled.gate_delays
-
-    # Gate position -> last evaluated output value (the projected final
-    # value; transitions in flight are compared against this, not
-    # against the not-yet-updated state entry).
-    pending: Dict[int, int] = {}
-    # Tick -> transitions [(net id, new value)] to apply at that tick.
-    wheel: Dict[int, List[Tuple[int, int]]] = {}
-    comb = counters["comb"]
-    time = 0
-    in_flight = 0
-    changed_now = changed
-    while True:
-        triggered = set()
-        for index in changed_now:
-            triggered.update(fanout_gates[index])
-        for position in sorted(triggered):
-            values = [state[i] for i in gate_fanins[position]]
-            new_value = gate_evals[position](values, ones)
-            out = gate_outputs[position]
-            previous = pending.get(position)
-            if previous is None:
-                previous = state[out]
-            delta = previous ^ new_value
-            if delta:
-                toggles = delta.bit_count()
-                comb += toggles
-                if net_toggles is not None:
-                    net_toggles[out] += toggles
-                wheel.setdefault(time + gate_delays[position], []).append(
-                    (out, new_value)
-                )
-                pending[position] = new_value
-                in_flight += 1
-        if not in_flight:
-            break
-        # Next tick with scheduled transitions; all delays are >= 1 and
-        # in-flight transitions sit strictly ahead of `time`, so this
-        # walk terminates within the maximum delay.
-        time += 1
-        while time not in wheel:
-            time += 1
-        events = wheel.pop(time)
-        in_flight -= len(events)
-        changed_now = []
-        for index, value in events:
-            state[index] = value
-            changed_now.append(index)
-    counters["comb"] = comb
 
 
 # ---------------------------------------------------------------------------
@@ -918,9 +889,19 @@ def _settle_events_batch(
     pend_epoch: List[int],
     epoch_box: List[int],
 ) -> None:
-    """Batched event-driven settling (see :func:`_settle_events`).
+    """Batched event-driven settling after source changes at time 0.
 
-    Identical walk to the solo kernel, with two twists. A changed gate
+    ``changed`` lists net ids whose ``state`` entries already hold the
+    new time-0 value. The wheel walks time forward one tick at a time:
+    at each tick the pending transitions for that tick are applied to
+    ``state``, then every gate with a fanin among them re-evaluates.
+    A gate whose evaluation differs from its previous evaluation (its
+    pending word, else its net's state) schedules its output
+    transition ``delay`` ticks later and counts ``popcount(change)``
+    toggles — the reference waveform loop's accounting, discovered in
+    time order instead of per gate; ``settle.c`` walks the same wheel.
+
+    Batching adds two twists. A changed gate
     schedules one wheel transition per entry of its delay plan — delay
     groups whose delay for this gate coincides were merged into one
     entry up front — carrying the entry's lane mask: transitions land

@@ -1,11 +1,16 @@
-"""Differential test: event-driven kernel vs the reference simulator.
+"""Differential test: event-driven kernels vs the reference simulator.
 
-The event kernel (compiled netlist + time-wheel settling) and the seed
-timed-waveform loop implement the same delay model, so for every design
-their :class:`SimulationResult` records must be *byte-identical* — all
-four toggle counters, the per-net toggle map, and the primary-output
-values — not merely close. This is pinned across every built-in
-benchmark, both idle-select conventions, and jittered delays.
+The native event kernel (compiled netlist + time-wheel settling in
+``settle.c``) and the seed timed-waveform loop implement the same delay
+model, so for every design their :class:`SimulationResult` records must
+be *byte-identical* — all four toggle counters, the per-net toggle map,
+and the primary-output values — not merely close. This is pinned across
+every built-in benchmark, both idle-select conventions, three delay
+spreads, and two lane counts: 48 (one word, tail lanes masked) and 1000
+(16 words, a ragged last word). Random netlists with truth tables of
+every arity the native kernel represents (constants included) are
+pinned by a hypothesis property; wider gates take the batch fallback
+with a warning that names the arity.
 
 The batched kernel (:func:`simulate_batch`) shares the same contract
 per configuration: every per-config record of a batched run must equal
@@ -29,12 +34,16 @@ from repro.fpga import (
     simulate_design,
 )
 from repro.errors import SimulationError
+from repro.fpga import native
+from repro.netlist.gates import GateType, Netlist, TruthTable
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
 
 WIDTH = 4
 #: Not a multiple of 64, so the tail-lane masking is exercised too.
 LANES = 48
+#: Sixteen words with a ragged last one (1000 = 15 * 64 + 40).
+WIDE_LANES = 1000
 SEED = 11
 
 _BUILT = {}
@@ -79,10 +88,15 @@ def _n_pads(design):
     return len(design.datapath.cdfg.primary_inputs)
 
 
+@pytest.mark.parametrize("lanes", [LANES, WIDE_LANES])
 @pytest.mark.parametrize("idle_selects", ["zero", "hold"])
-@pytest.mark.parametrize("delay_jitter", [0, 2])
-def test_kernels_byte_identical(mapped_design, idle_selects, delay_jitter):
+@pytest.mark.parametrize("delay_jitter", [0, 1, 2])
+def test_kernels_byte_identical(
+    mapped_design, idle_selects, delay_jitter, lanes
+):
     design, vectors = mapped_design
+    if lanes != vectors.lanes:
+        vectors = random_vectors(_n_pads(design), WIDTH, lanes, seed=SEED)
     event = simulate_design(
         design, vectors, collect_per_net=True,
         idle_selects=idle_selects, delay_jitter=delay_jitter,
@@ -218,3 +232,86 @@ def test_batch_of_one_equals_event_kernel(
         idle_selects=idle_selects, delay_jitter=delay_jitter,
     )
     assert batched == solo
+
+
+# ---------------------------------------------------------------------------
+# Random truth tables: every arity the native kernel represents, and the
+# named fallback beyond it.
+# ---------------------------------------------------------------------------
+
+def _with_random_logic(design, specs):
+    """``design`` plus extra LUTs spliced onto its nets.
+
+    Each spec is ``(arity, bits, picks, latched)``: a gate with that
+    truth table reading the nets ``picks`` select (modulo the nets
+    defined so far, repeats allowed), optionally registered by a new
+    latch whose output later gates may read.
+    """
+    base = design.netlist
+    netlist = Netlist(base.name)
+    for net in base.inputs:
+        netlist.add_input(net)
+    netlist.gates.update(base.gates)
+    netlist.latches.update(base.latches)
+    pool = list(base.inputs) + list(base.latches) + list(base.gates)
+    for arity, bits, picks, latched in specs:
+        inputs = [pool[pick % len(pool)] for pick in picks[:arity]]
+        out = netlist.add_gate(
+            TruthTable(arity, bits), inputs, gate_type=GateType.LUT
+        )
+        pool.append(out)
+        if latched:
+            pool.append(netlist.add_latch(out))
+    return ElaboratedDesign(
+        design.datapath, netlist, design.pad_nets, design.register_nets,
+        design.fu_nets, design.control_nets, design.output_nets,
+    )
+
+
+@st.composite
+def _logic_specs(draw):
+    specs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        arity = draw(st.integers(min_value=0, max_value=native.MAX_ARITY))
+        bits = draw(st.integers(min_value=0, max_value=(1 << (1 << arity)) - 1))
+        picks = draw(st.lists(st.integers(min_value=0, max_value=10_000),
+                              min_size=arity, max_size=arity))
+        specs.append((arity, bits, picks, draw(st.booleans())))
+    return specs
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    specs=_logic_specs(),
+    lanes=st.sampled_from([7, 64, 130]),
+    delay_jitter=st.integers(min_value=0, max_value=2),
+)
+def test_random_truth_tables_match_reference(specs, lanes, delay_jitter):
+    """Property: any table of arity 0 (constants) .. MAX_ARITY settles
+    exactly as in the reference simulator."""
+    base, _ = build_mapped("pr")
+    design = _with_random_logic(base, specs)
+    vectors = random_vectors(_n_pads(design), WIDTH, lanes, seed=SEED)
+    native_result = simulate_design(
+        design, vectors, collect_per_net=True, delay_jitter=delay_jitter,
+    )
+    reference = simulate_design(
+        design, vectors, collect_per_net=True, delay_jitter=delay_jitter,
+        kernel="reference",
+    )
+    assert native_result == reference
+
+
+def test_gate_wider_than_native_takes_fallback():
+    base, vectors = build_mapped("pr")
+    arity = native.MAX_ARITY + 1
+    bits = (0x9E3779B97F4A7C15 * 0x1F) ** 120 % (1 << (1 << arity))
+    design = _with_random_logic(
+        base, [(arity, bits, list(range(0, 7 * arity, 7)), True)]
+    )
+    assert compile_netlist(design.netlist, 0).native_arrays is None
+    with pytest.warns(RuntimeWarning, match=f"a gate has {arity} inputs"):
+        result = simulate_design(design, vectors, collect_per_net=True)
+    assert result == simulate_design(
+        design, vectors, collect_per_net=True, kernel="reference"
+    )
