@@ -4,10 +4,10 @@ Times the bind stage on the largest paper benchmark ("chem" by
 default) for both binders three ways, asserting identical binding
 solutions throughout:
 
-1. **reference** — the seed binders (``bind_engine="reference"``):
+1. **reference** — the seed binders (``tests/oracles/binding.py``):
    HLPower's per-edge Python weight dicts and the networkx min-cost
    flow of the LOPASS baseline;
-2. **fast (cold)** — the vectorized engines of
+2. **fast (cold)** — the vectorized binders of
    :mod:`repro.binding.compile` with an empty :class:`BindMemo`, the
    cost of a first-ever bind stage;
 3. **fast (warm memo)** — the fast HLPower engine re-run against the
@@ -34,21 +34,24 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 
 from repro import benchmark_spec
 from repro.binding import SATable, bind_hlpower, bind_lopass
-from repro.binding.compile import (
-    BindMemo,
-    bind_hlpower_fast,
-    bind_lopass_fast,
-)
+from repro.binding.compile import BindMemo
 from repro.binding.hlpower import HLPowerConfig
 from repro.cdfg import load_benchmark
 from repro.flow.run import prepare_flow_inputs
 from repro.scheduling import list_schedule
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _REPO_ROOT)  # the seed binders live in tests/oracles
+from tests.oracles import (  # noqa: E402
+    bind_hlpower_reference,
+    bind_lopass_reference,
+)
+
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_bind.json")
 _TABLE_PATH = os.path.join(_REPO_ROOT, "data", "sa_table.txt")
 
@@ -79,31 +82,33 @@ def main() -> None:
     memo_stats = {}
     for _ in range(TRIALS):
         started = time.perf_counter()
-        hl_ref = bind_hlpower(
+        hl_ref = bind_hlpower_reference(
             schedule, spec.constraints, registers, ports, hl_cfg
         )
         times["hl_ref"].append(time.perf_counter() - started)
 
         memo = BindMemo()
         started = time.perf_counter()
-        hl_fast = bind_hlpower_fast(
+        hl_fast = bind_hlpower(
             schedule, spec.constraints, registers, ports, hl_cfg, memo
         )
         times["hl_cold"].append(time.perf_counter() - started)
 
         started = time.perf_counter()
-        hl_warm = bind_hlpower_fast(
+        hl_warm = bind_hlpower(
             schedule, spec.constraints, registers, ports, hl_cfg, memo
         )
         times["hl_warm"].append(time.perf_counter() - started)
         memo_stats = memo.stats()
 
         started = time.perf_counter()
-        lo_ref = bind_lopass(schedule, spec.constraints, registers, ports)
+        lo_ref = bind_lopass_reference(
+            schedule, spec.constraints, registers, ports
+        )
         times["lo_ref"].append(time.perf_counter() - started)
 
         started = time.perf_counter()
-        lo_fast = bind_lopass_fast(
+        lo_fast = bind_lopass(
             schedule, spec.constraints, registers, ports
         )
         times["lo_cold"].append(time.perf_counter() - started)

@@ -39,8 +39,7 @@ import os
 import sys
 import time
 
-from repro.binding import bind_optimal
-from repro.binding.compile import bind_hlpower_fast, bind_lopass_fast
+from repro.binding import bind_hlpower, bind_lopass, bind_optimal
 from repro.binding.mcts import MCTSConfig, bind_mcts
 from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import (
@@ -84,8 +83,8 @@ def measure_instance(instance) -> dict:
     registers, ports = prepare_flow_inputs(schedule)
     limits = instance.constraints
     best_heuristic = min(
-        length_of(bind_hlpower_fast(schedule, limits, registers, ports)),
-        length_of(bind_lopass_fast(schedule, limits, registers, ports)),
+        length_of(bind_hlpower(schedule, limits, registers, ports)),
+        length_of(bind_lopass(schedule, limits, registers, ports)),
     )
     oracle = length_of(bind_optimal(schedule, limits, registers, ports))
     points = {}

@@ -13,9 +13,10 @@ magnitude of op count — recording per stage:
 * process peak RSS after the stage (``resource.getrusage``).
 
 On the largest instance of the curve it additionally times the
-compiled elaborator (``elab_engine="fast"``) against the seed one
-(``"reference"``) — elaborate plus ``clean()`` — and records the
-speedup; the run **fails** if the compiled path is less than
+compiled elaborator (:func:`repro.fpga.elaborate_datapath`, recorded as
+``fast``) against the seed one (``tests/oracles/elaborate.py``,
+recorded as ``reference``) — elaborate plus ``clean()`` — and records
+the speedup; the run **fails** if the compiled path is less than
 ``REPRO_SCALE_MIN_SPEEDUP`` (default 3.0) times faster.
 
 Results land in ``BENCH_scale.json`` at the repo root. When a previous
@@ -50,10 +51,13 @@ from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import corpus_instance
 from repro.flow.pipeline import ESTIMATE_STAGES, Pipeline
 from repro.flow.run import FlowConfig, prepare_flow_inputs
-from repro.fpga.compile import elaborate_design
+from repro.fpga import elaborate_datapath
 from repro.scheduling import list_schedule
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _REPO_ROOT)  # the seed elaborator lives in tests/oracles
+from tests.oracles import elaborate_reference  # noqa: E402
+
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_scale.json")
 
 #: Default curve: one instance per op-count decade step, 8 -> 4096.
@@ -151,11 +155,12 @@ def elab_speedup(name: str) -> dict:
     )
     datapath = pipe.artifact("datapath")
     timings = {}
-    for engine in ("fast", "reference"):
+    engines = {"fast": elaborate_datapath, "reference": elaborate_reference}
+    for engine, elaborate in engines.items():
         best = float("inf")
         for _ in range(2):
             started = time.perf_counter()
-            elaborate_design(datapath, engine)
+            elaborate(datapath)
             best = min(best, time.perf_counter() - started)
         timings[engine] = best
     speedup = timings["reference"] / timings["fast"]

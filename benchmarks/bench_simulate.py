@@ -1,14 +1,15 @@
 """Simulator kernel benchmark — the first point on the perf trajectory.
 
 Times :func:`repro.fpga.simulate_design` on the largest paper benchmark
-("chem": 171 adds / 176 mults, Table 1) with both kernels, checks they
-agree byte-for-byte, and writes the numbers to ``BENCH_sim.json`` at
-the repo root so later PRs can track the trend. A ``batched`` section
-times :func:`repro.fpga.simulate_batch` over a mixed config set
-(stimulus x idle policy x jitter) against the same configs run solo.
+("chem": 171 adds / 176 mults, Table 1) against the seed simulator
+(``tests/oracles/simulate.py``), checks they agree byte-for-byte, and
+writes the numbers to ``BENCH_sim.json`` at the repo root so later PRs
+can track the trend. A ``batched`` section times
+:func:`repro.fpga.simulate_batch` over a mixed config set (stimulus x
+idle policy x jitter) against the same configs run solo.
 
-This is a standalone script (not collected by pytest — the reference
-kernel alone costs tens of seconds):
+This is a standalone script (not collected by pytest — the seed
+simulator alone costs tens of seconds):
 
     PYTHONPATH=src python benchmarks/bench_simulate.py
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 from repro import benchmark_spec, list_schedule, load_benchmark
@@ -37,6 +39,9 @@ from repro.rtl import build_datapath
 from repro.techmap import map_netlist
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _REPO_ROOT)  # the seed simulator lives in tests/oracles
+from tests.oracles import simulate_reference  # noqa: E402
+
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 BENCH = os.environ.get("REPRO_SIM_BENCH", "chem")
@@ -70,13 +75,13 @@ def build_design():
     return mapped, vectors
 
 
-def time_kernel(design, vectors, kernel: str, repeats: int):
-    """Best-of-``repeats`` wall time plus the last result."""
+def time_kernel(design, vectors, simulate, repeats: int):
+    """Best-of-``repeats`` wall time of ``simulate`` plus the last result."""
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        result = simulate_design(design, vectors, kernel=kernel)
+        result = simulate(design, vectors)
         best = min(best, time.perf_counter() - started)
     return best, result
 
@@ -136,9 +141,11 @@ def main() -> int:
     # Warm the compile cache so the event timing is the steady-state
     # per-call cost (the compiled netlist is reused across calls).
     simulate_design(design, vectors)
-    event_s, event = time_kernel(design, vectors, "event", REPEATS)
+    event_s, event = time_kernel(design, vectors, simulate_design, REPEATS)
     print(f"  event kernel:     {event_s:8.3f} s")
-    reference_s, reference = time_kernel(design, vectors, "reference", 1)
+    reference_s, reference = time_kernel(
+        design, vectors, simulate_reference, 1
+    )
     print(f"  reference kernel: {reference_s:8.3f} s")
     if event != reference:
         raise SystemExit("kernels disagree — refusing to record timings")

@@ -3,8 +3,8 @@
 Times the techmap stage on the largest paper benchmark ("chem" by
 default) three ways, asserting bit-identical covers throughout:
 
-1. **reference** — the seed mapper (``effort="reference"``), the
-   pre-PR-4 techmap stage;
+1. **reference** — the seed mapper (``tests/oracles/mapper.py``),
+   the original techmap stage;
 2. **fast (cold)** — the compiled mapper with every per-netlist cache
    and the cone memo empty, the cost of a first-ever techmap stage;
 3. **fast (warm memo)** — the compiled mapper re-run against the cone
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 
 from repro import benchmark_spec
@@ -40,6 +41,9 @@ from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _REPO_ROOT)  # the seed mapper lives in tests/oracles
+from tests.oracles import map_reference  # noqa: E402
+
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_techmap.json")
 
 BENCH = os.environ.get("REPRO_TECHMAP_BENCH", "chem")
@@ -86,8 +90,8 @@ def main() -> None:
     memo_stats = {}
     for trial in range(TRIALS):
         started = time.perf_counter()
-        reference = map_netlist(
-            netlist, k=K, input_activities=activities, effort="reference"
+        reference = map_reference(
+            netlist, k=K, input_activities=activities
         )
         reference_s.append(time.perf_counter() - started)
 

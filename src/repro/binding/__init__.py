@@ -10,11 +10,11 @@
 * :mod:`~repro.binding.sa_table` — the precalculated glitch-aware SA
   table for (FU, mux, mux) combinations (Section 5.2.2).
 * :mod:`~repro.binding.weights` — Equation (4) edge weights.
-* :mod:`~repro.binding.hlpower` — Algorithm 1, the HLPower binder.
-* :mod:`~repro.binding.lopass` — the network-flow baseline binder
-  standing in for LOPASS [3,4] (see DESIGN.md substitutions).
-* :mod:`~repro.binding.compile` — vectorized engines for both binders
-  (``bind_engine="fast"``), decision-identical to the seed binders.
+* :mod:`~repro.binding.hlpower` — Algorithm 1's tunables.
+* :mod:`~repro.binding.lopass` — the network-flow formulation standing
+  in for LOPASS [3,4] (see DESIGN.md substitutions).
+* :mod:`~repro.binding.compile` — both binders on dense arrays:
+  :func:`bind_hlpower` (Algorithm 1) and :func:`bind_lopass`.
 * :mod:`~repro.binding.mcts` — seeded Monte-Carlo tree search binder
   (``binder="mcts"``), never worse than the best heuristic.
 """
@@ -31,17 +31,11 @@ from repro.binding.registers import assign_ports, bind_registers
 from repro.binding.compat import BindingNode, select_initial_sets
 from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_BETA, edge_weight
-from repro.binding.hlpower import HLPowerConfig, bind_hlpower
+from repro.binding.hlpower import HLPowerConfig
 from repro.binding.portopt import optimize_ports
-from repro.binding.lopass import bind_lopass
 from repro.binding.leftedge import bind_registers_left_edge
 from repro.binding.optimal import bind_optimal
-from repro.binding.compile import (
-    BIND_ENGINES,
-    BindMemo,
-    bind_hlpower_fast,
-    bind_lopass_fast,
-)
+from repro.binding.compile import BindMemo, bind_hlpower, bind_lopass
 from repro.binding.mcts import (
     BINDER_NAMES,
     DEFAULT_MCTS_BUDGET,
@@ -52,14 +46,11 @@ from repro.binding.mcts import (
 
 __all__ = [
     "BINDER_NAMES",
-    "BIND_ENGINES",
     "DEFAULT_MCTS_BUDGET",
     "DEFAULT_MCTS_SEED",
     "MCTSConfig",
     "bind_mcts",
     "BindMemo",
-    "bind_hlpower_fast",
-    "bind_lopass_fast",
     "BindingSolution",
     "FunctionalUnit",
     "FUBinding",

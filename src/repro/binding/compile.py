@@ -1,14 +1,13 @@
-"""Vectorized binding engines (``bind_engine="fast"``).
+"""The binders: HLPower (Algorithm 1) and the LOPASS baseline, vectorized.
 
-The seed binders (:func:`~repro.binding.hlpower.bind_hlpower`,
-:func:`~repro.binding.lopass.bind_lopass`) are exact but spend their
-time in per-edge Python loops: HLPower rebuilds an Equation-(4) weight
-dict pair by pair every matching round, and the LOPASS baseline hands
-networkx a 30k-edge graph whose network-simplex pivot search walks
-Python generators edge by edge. This module re-implements both inner
-loops on dense numpy arrays while keeping every *decision* — edge
-ordering, tie-breaks, pivot selection, matching extraction —
-bit-for-bit identical to the seed binders, the same contract the PR-4
+The seed binders (``tests/oracles/binding.py``, the differential
+oracles) are exact but spend their time in per-edge Python loops:
+HLPower rebuilds an Equation-(4) weight dict pair by pair every
+matching round, and the LOPASS baseline hands networkx a 30k-edge
+graph whose network-simplex pivot search walks Python generators edge
+by edge. This module re-implements both inner loops on dense numpy
+arrays while keeping every *decision* — edge ordering, tie-breaks,
+pivot selection, matching extraction — bit-for-bit identical to the seed binders, the same contract the PR-4
 tech mapper establishes (``tests/binding/test_engine_differential.py``
 pins the equivalence):
 
@@ -27,9 +26,6 @@ pins the equivalence):
   faithful re-implementation of networkx's primal network simplex
   whose Dantzig/Bland pivot search evaluates reduced costs a block at
   a time with numpy instead of one Python call per edge.
-
-The seed binders stay untouched behind ``bind_engine="reference"``;
-:data:`BIND_ENGINES` names the two paths the flow accepts.
 """
 
 from __future__ import annotations
@@ -54,9 +50,6 @@ from repro.binding.registers import assign_ports, bind_registers
 from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_BETA
 from repro.cdfg.schedule import Schedule
-
-#: The bind-stage engines the flow accepts ("fast" is the default).
-BIND_ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 _POPCOUNT = getattr(np, "bitwise_count", None)
 
@@ -259,7 +252,7 @@ def _round_weights(
     return matrix
 
 
-def bind_hlpower_fast(
+def bind_hlpower(
     schedule: Schedule,
     constraints: Mapping[str, int],
     registers: Optional[RegisterBinding] = None,
@@ -267,7 +260,15 @@ def bind_hlpower_fast(
     config: Optional[HLPowerConfig] = None,
     memo: Optional[BindMemo] = None,
 ) -> BindingSolution:
-    """Vectorized Algorithm 1; decision-identical to ``bind_hlpower``."""
+    """Run the full HLPower binding (Algorithm 1).
+
+    ``registers``/``ports`` default to this package's register binder
+    and seeded port assignment; pass the same objects to
+    :func:`bind_lopass` for an apples-to-apples comparison (the paper
+    uses "the same schedule, register allocation, and resource
+    constraints" for both). ``memo`` carries weight blocks across
+    calls (see :class:`BindMemo`); results never depend on it.
+    """
     started = time.perf_counter()
     cfg = config or HLPowerConfig()
     if not 0.0 <= cfg.alpha <= 1.0:
@@ -351,13 +352,13 @@ def bind_hlpower_fast(
 # ---------------------------------------------------------------------------
 
 
-def bind_lopass_fast(
+def bind_lopass(
     schedule: Schedule,
     constraints: Mapping[str, int],
     registers: Optional[RegisterBinding] = None,
     ports: Optional[PortAssignment] = None,
 ) -> BindingSolution:
-    """Vectorized flow baseline; decision-identical to ``bind_lopass``."""
+    """Bind every operation with the min-cost-flow formulation."""
     started = time.perf_counter()
     cdfg = schedule.cdfg
     if registers is None:
@@ -399,7 +400,7 @@ def _bind_class_flow(
 ) -> List[List[int]]:
     """One class through the vectorized min-cost-flow formulation.
 
-    Builds the exact edge list ``lopass._bind_class`` hands networkx —
+    Builds the exact edge list the seed binder hands networkx —
     same node numbering, same adjacency-order edge enumeration, same
     integer costs — and solves it with :func:`_network_simplex`, whose
     pivots replicate networkx's, so the resulting chains are

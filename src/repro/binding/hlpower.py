@@ -1,37 +1,28 @@
-"""HLPower functional-unit binding (Algorithm 1).
+"""HLPower functional-unit binding (Algorithm 1): tunables and helpers.
 
-Iteratively constructs weighted bipartite graphs between the allocated
-FU nodes (``U``) and the not-yet-absorbed operation nodes (``V``),
-solves each for maximum weight, and merges matched nodes, until the
-resource constraint is met. Edge weights follow Equation (4): the
-glitch-aware switching activity of the partial datapath the merge
+Algorithm 1 iteratively constructs weighted bipartite graphs between
+the allocated FU nodes (``U``) and the not-yet-absorbed operation nodes
+(``V``), solves each for maximum weight, and merges matched nodes,
+until the resource constraint is met. Edge weights follow Equation (4):
+the glitch-aware switching activity of the partial datapath the merge
 would create (from the precalculated :class:`~repro.binding.sa_table.
 SATable`) balanced against multiplexer-size balance (``muxDiff``).
 
 Register binding precedes FU binding, so the exact register sources of
 every port — and hence exact multiplexer sizes — are known when an
-edge is weighted (Section 5.2.2 step 1).
+edge is weighted (Section 5.2.2 step 1). The binder itself is
+:func:`repro.binding.compile.bind_hlpower`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Optional, Set, Tuple
 
-from repro.errors import BindingError, ResourceError
-from repro.binding.base import (
-    BindingSolution,
-    FUBinding,
-    FunctionalUnit,
-    PortAssignment,
-    RegisterBinding,
-)
-from repro.binding.compat import BindingNode, select_initial_sets
-from repro.binding.matching import max_weight_matching
-from repro.binding.registers import assign_ports, bind_registers
+from repro.binding.base import PortAssignment, RegisterBinding
+from repro.binding.compat import BindingNode
 from repro.binding.sa_table import SATable
-from repro.binding.weights import DEFAULT_ALPHA, edge_weight
+from repro.binding.weights import DEFAULT_ALPHA
 from repro.cdfg.schedule import Schedule
 
 
@@ -48,151 +39,6 @@ class HLPowerConfig:
     stop_at_constraint: bool = True
     #: Safety bound on iterations per class.
     max_iterations: int = 10_000
-
-
-@dataclass
-class _ClassState:
-    """Mutable per-class binding state."""
-
-    u_nodes: List[BindingNode]
-    v_nodes: List[BindingNode]
-    regs_a: Dict[BindingNode, frozenset]
-    regs_b: Dict[BindingNode, frozenset]
-    iterations: int = 0
-    constraint_met: bool = True
-
-
-def bind_hlpower(
-    schedule: Schedule,
-    constraints: Mapping[str, int],
-    registers: Optional[RegisterBinding] = None,
-    ports: Optional[PortAssignment] = None,
-    config: Optional[HLPowerConfig] = None,
-) -> BindingSolution:
-    """Run the full HLPower binding (Algorithm 1).
-
-    ``registers``/``ports`` default to this package's register binder
-    and seeded port assignment; pass the same objects to
-    :func:`~repro.binding.lopass.bind_lopass` for an apples-to-apples
-    comparison (the paper uses "the same schedule, register allocation,
-    and resource constraints" for both).
-    """
-    started = time.perf_counter()
-    cfg = config or HLPowerConfig()
-    cdfg = schedule.cdfg
-    if registers is None:
-        registers = bind_registers(schedule)
-    if ports is None:
-        ports = assign_ports(cdfg)
-    table = cfg.sa_table if cfg.sa_table is not None else SATable()
-
-    units: List[FunctionalUnit] = []
-    constraint_met = True
-    for fu_class in cdfg.resource_classes():
-        limit = constraints.get(fu_class)
-        if limit is None:
-            raise ResourceError(f"no constraint for class {fu_class!r}")
-        state = _bind_class(
-            schedule, fu_class, limit, registers, ports, table, cfg
-        )
-        constraint_met &= state.constraint_met
-        for node in state.u_nodes + state.v_nodes:
-            units.append(
-                FunctionalUnit(len(units), fu_class, node.ops)
-            )
-
-    solution = BindingSolution(
-        schedule=schedule,
-        registers=registers,
-        ports=ports,
-        fus=FUBinding(units, constraint_met),
-        algorithm="hlpower",
-        runtime_s=time.perf_counter() - started,
-    )
-    solution.validate()
-    return solution
-
-
-def _bind_class(
-    schedule: Schedule,
-    fu_class: str,
-    limit: int,
-    registers: RegisterBinding,
-    ports: PortAssignment,
-    table: SATable,
-    cfg: HLPowerConfig,
-) -> _ClassState:
-    """Iterative bipartite matching for one resource class."""
-    u_nodes, v_nodes = select_initial_sets(schedule, fu_class)
-    state = _ClassState(u_nodes, v_nodes, {}, {})
-    if not u_nodes and not v_nodes:
-        return state
-    for node in u_nodes + v_nodes:
-        state.regs_a[node], state.regs_b[node] = _port_registers(
-            schedule, node, registers, ports
-        )
-
-    while state.iterations < cfg.max_iterations:
-        total = len(state.u_nodes) + len(state.v_nodes)
-        if cfg.stop_at_constraint and total <= limit:
-            break
-        if not state.v_nodes:
-            break
-        weights = _edge_weights(state, fu_class, table, cfg)
-        if not weights:
-            break
-        matching = max_weight_matching(
-            list(range(len(state.u_nodes))),
-            list(range(len(state.v_nodes))),
-            weights,
-        )
-        if not matching:
-            break
-        _apply_matching(state, matching)
-        state.iterations += 1
-
-    if len(state.u_nodes) + len(state.v_nodes) > limit:
-        state.constraint_met = False
-    return state
-
-
-def _edge_weights(
-    state: _ClassState,
-    fu_class: str,
-    table: SATable,
-    cfg: HLPowerConfig,
-) -> Dict[Tuple[int, int], float]:
-    """Equation-(4) weights for every compatible (U, V) node pair."""
-    weights: Dict[Tuple[int, int], float] = {}
-    for i, u_node in enumerate(state.u_nodes):
-        for j, v_node in enumerate(state.v_nodes):
-            if not u_node.compatible(v_node):
-                continue
-            mux_a = len(state.regs_a[u_node] | state.regs_a[v_node])
-            mux_b = len(state.regs_b[u_node] | state.regs_b[v_node])
-            sa = table.get(fu_class, mux_a, mux_b)
-            weights[(i, j)] = edge_weight(
-                sa, abs(mux_a - mux_b), fu_class, cfg.alpha, cfg.beta
-            )
-    return weights
-
-
-def _apply_matching(
-    state: _ClassState, matching: Mapping[int, int]
-) -> None:
-    """Merge matched V nodes into their U nodes (Algorithm 1 line 15)."""
-    absorbed: Set[int] = set()
-    for i, j in matching.items():
-        u_node = state.u_nodes[i]
-        v_node = state.v_nodes[j]
-        merged = u_node.merge(v_node)
-        state.regs_a[merged] = state.regs_a[u_node] | state.regs_a[v_node]
-        state.regs_b[merged] = state.regs_b[u_node] | state.regs_b[v_node]
-        state.u_nodes[i] = merged
-        absorbed.add(j)
-    state.v_nodes = [
-        node for j, node in enumerate(state.v_nodes) if j not in absorbed
-    ]
 
 
 def _port_registers(

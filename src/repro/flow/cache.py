@@ -32,7 +32,8 @@ Determinism contract: the cache only ever substitutes an artifact for
 a byte-identical recomputation, so cached and cold pipeline runs
 produce identical :meth:`~repro.flow.run.FlowResult.metrics`. The
 differential suite in ``tests/flow/test_pipeline.py`` enforces this
-across binders, idle policies, delay jitter and both sim kernels.
+across binders, idle policies, delay jitter and both simulators
+(the product kernel and the seed oracle).
 """
 
 from __future__ import annotations

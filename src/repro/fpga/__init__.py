@@ -6,7 +6,8 @@ power from the PowerPlay analyzer. This subpackage is the reproduction
 of that measurement harness (see DESIGN.md, substitution table):
 
 * :mod:`~repro.fpga.device` — Cyclone II-like device constants;
-* :mod:`~repro.fpga.elaborate` — datapath to flat gate netlist;
+* :mod:`~repro.fpga.compile` — datapath to flat gate netlist
+  (:class:`~repro.fpga.elaborate.ElaboratedDesign`);
 * :mod:`~repro.fpga.vectors` — random stimulus (the ``.vwf`` stand-in);
 * :mod:`~repro.fpga.simulate` — exact unit-delay gate/LUT simulation
   counting every transition, functional and glitch;
@@ -15,12 +16,8 @@ of that measurement harness (see DESIGN.md, substitution table):
 """
 
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
-from repro.fpga.elaborate import ElaboratedDesign, elaborate_datapath
-from repro.fpga.compile import (
-    ELAB_ENGINES,
-    elaborate_datapath_fast,
-    elaborate_design,
-)
+from repro.fpga.elaborate import ElaboratedDesign
+from repro.fpga.compile import elaborate_datapath
 from repro.fpga.vectors import (
     VectorSet,
     pack_values,
@@ -44,9 +41,6 @@ __all__ = [
     "DeviceModel",
     "ElaboratedDesign",
     "elaborate_datapath",
-    "ELAB_ENGINES",
-    "elaborate_datapath_fast",
-    "elaborate_design",
     "VectorSet",
     "pack_values",
     "random_vectors",

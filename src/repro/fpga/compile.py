@@ -1,10 +1,11 @@
-"""Compiled datapath elaboration (``elab_engine="fast"``).
+"""Compiled datapath elaboration.
 
-:func:`~repro.fpga.elaborate.elaborate_datapath` rebuilds a structural
-library netlist for every component instance — every register bank,
-every mux of a given shape, every adder — and copies it gate by gate
-through :meth:`Netlist.instantiate`, which re-runs a DFS topological
-sort of the library cell per instance. On large datapaths both costs
+The seed elaborator (``tests/oracles/elaborate.py``, the differential
+oracle) rebuilds a structural library netlist for every component
+instance — every register bank, every mux of a given shape, every
+adder — and copies it gate by gate through
+:meth:`Netlist.instantiate`, which re-runs a DFS topological sort of
+the library cell per instance. On large datapaths both costs
 dominate: a 4000-op schedule instantiates hundreds of identical
 ``(kind, size, width)`` cells.
 
@@ -14,20 +15,17 @@ This module compiles each distinct library cell once into a
 instances out with a rename dict and direct gates-dict writes. The
 instantiation order, net-name choreography (pad/select/mode naming,
 pre-declared register nets, instance prefixes) and the final cleanup
-mirror the reference exactly, so the produced netlist is byte-identical
-(gate insertion order included); ``tests/fpga/test_elab_engines.py``
-pins that equivalence across the paper benchmarks and corpus samples.
-
-The reference path stays untouched behind ``elab_engine="reference"``;
-:data:`ELAB_ENGINES` names the two paths the flow accepts, the same
-contract as ``bind_engine`` and ``map_effort``.
+mirror the seed elaborator exactly, so the produced netlist is
+byte-identical (gate insertion order included);
+``tests/fpga/test_elab_engines.py`` pins that equivalence across the
+paper benchmarks and corpus samples.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import ConfigError, NetlistError, RTLError
+from repro.errors import NetlistError, RTLError
 from repro.netlist.compile import clean_fast, make_gate
 from repro.netlist.gates import GateType, Latch, Netlist, TruthTable
 from repro.netlist.library import (
@@ -37,11 +35,8 @@ from repro.netlist.library import (
     build_register,
     select_width,
 )
-from repro.fpga.elaborate import ElaboratedDesign, elaborate_datapath
+from repro.fpga.elaborate import ElaboratedDesign
 from repro.rtl.datapath import Datapath, FUSpec, MuxSpec, SourceRef
-
-#: The elaborate-stage engines the flow accepts ("fast" is the default).
-ELAB_ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 #: One frozen gate: (output, inputs, table, gate_type).
 _GateRecord = Tuple[str, Tuple[str, ...], TruthTable, GateType]
@@ -266,8 +261,14 @@ def _stamp_register(
     _stamp(top, bank, port_map, prefix=f"u_reg{index}/", output_map=output_map)
 
 
-def elaborate_datapath_fast(datapath: Datapath) -> ElaboratedDesign:
-    """Template-stamped twin of :func:`~repro.fpga.elaborate.elaborate_datapath`."""
+def elaborate_datapath(datapath: Datapath) -> ElaboratedDesign:
+    """Build the flat gate-level netlist of ``datapath``.
+
+    Cells are stamped from compiled templates, then the netlist is
+    cleaned (constant propagation, buffer and dead-logic sweep) — the
+    non-restructuring subset of what Quartus' synthesis would do under
+    the paper's settings.
+    """
     width = datapath.width
     top = Netlist("design")
 
@@ -326,20 +327,3 @@ def elaborate_datapath_fast(datapath: Datapath) -> ElaboratedDesign:
         output_nets=output_nets,
     )
 
-
-def elaborate_design(
-    datapath: Datapath, engine: str = "fast"
-) -> ElaboratedDesign:
-    """Elaborate ``datapath`` with the selected engine.
-
-    ``"fast"`` stamps compiled cell templates; ``"reference"`` runs the
-    seed :func:`~repro.fpga.elaborate.elaborate_datapath` verbatim.
-    Both produce byte-identical designs.
-    """
-    if engine == "fast":
-        return elaborate_datapath_fast(datapath)
-    if engine == "reference":
-        return elaborate_datapath(datapath)
-    raise ConfigError(
-        f"unknown elab engine {engine!r}; choose from {ELAB_ENGINES}"
-    )

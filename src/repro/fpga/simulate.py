@@ -19,29 +19,25 @@ Model:
 * at the end of the step all flip-flops clock simultaneously (their
   output toggles are the register power contribution).
 
-Two kernels implement that model:
+The netlist is lowered once to dense integer ids and flat arrays (see
+:func:`compile_netlist`, cached on the netlist object).
+:func:`simulate_design` then runs the whole simulation — the power-on
+settle, every step's drives, both settles per step and all toggle
+counters — in one call into a native C kernel (``settle.c``) over an
+``(n_nets, n_words)`` ``uint64`` lane state, walking a ring-buffer time
+wheel. The kernel is compiled with the system C compiler on the first
+simulation in a process and cached per user (see
+:mod:`repro.fpga.native`). Without a compiler, or for a gate wider
+than :data:`repro.fpga.native.MAX_ARITY` inputs, ``simulate_design``
+runs :func:`simulate_batch` with one configuration instead —
+byte-identical, slower — after a ``RuntimeWarning`` naming the cause.
+:func:`simulate_batch` settles many configurations of one netlist in a
+single Python event loop over packed big ints (sweeps use it).
 
-* ``kernel="event"`` (default) — the netlist is lowered once to dense
-  integer ids and flat arrays (see :func:`compile_netlist`, cached on
-  the netlist object). :func:`simulate_design` then runs the whole
-  simulation — the power-on settle, every step's drives, both settles
-  per step and all toggle counters — in one call into a native C
-  kernel (``settle.c``) over an ``(n_nets, n_words)`` ``uint64`` lane
-  state, walking a ring-buffer time wheel. The kernel is compiled with
-  the system C compiler on the first simulation in a process and
-  cached per user (see :mod:`repro.fpga.native`). Without a compiler,
-  or for a gate wider than :data:`repro.fpga.native.MAX_ARITY` inputs,
-  ``simulate_design`` runs :func:`simulate_batch` with one
-  configuration instead — byte-identical, slower — after a
-  ``RuntimeWarning`` naming the cause.
-  :func:`simulate_batch` settles many configurations of one netlist
-  in a single Python event loop over packed big ints (sweeps use it);
-* ``kernel="reference"`` — the original timed-waveform implementation,
-  kept verbatim as the differential-testing oracle.
-
-Every path produces byte-identical :class:`SimulationResult` records
-(the differential suite pins this across every built-in benchmark,
-both idle conventions and jittered delays).
+Both paths produce byte-identical :class:`SimulationResult` records;
+``tests/fpga/test_kernel_differential.py`` pins them against the seed
+timed-waveform simulator (``tests/oracles/simulate.py``) across every
+built-in benchmark, both idle conventions and jittered delays.
 
 Functional correctness is checked against the CDFG's arithmetic
 semantics (modular add/sub/mult) via :func:`golden_outputs`.
@@ -60,13 +56,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.fpga import native
 from repro.fpga.elaborate import ElaboratedDesign
-from repro.fpga.vectors import (
-    VectorSet,
-    broadcast,
-    n_words,
-    popcount,
-    unpack_lane_values,
-)
+from repro.fpga.vectors import VectorSet, n_words, unpack_lane_values
 from repro.netlist.gates import Netlist, TruthTable
 from repro.rtl.controller import build_controller
 
@@ -95,76 +85,6 @@ class SimulationResult:
         )
 
 
-_EVALUATOR_CACHE: Dict[Tuple[int, int], Callable] = {}
-
-
-def _compile_table(table: TruthTable) -> Callable:
-    """Compile a truth table into a packed-word evaluator.
-
-    Shannon expansion over the inputs: ``2^k - 1`` select operations of
-    the form ``(x & hi) | (~x & lo)``, bottoming out at constant words.
-    Compiled once per distinct function and cached process-wide.
-    """
-    key = (table.n_inputs, table.bits)
-    cached = _EVALUATOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    n = table.n_inputs
-
-    def build(level: int, bits: int):
-        """Evaluator for the sub-function over inputs [0, level)."""
-        if level == 0:
-            return bool(bits & 1)
-        half = 1 << (level - 1)
-        mask = (1 << half) - 1
-        lo = build(level - 1, bits & mask)
-        hi = build(level - 1, bits >> half)
-        if lo is hi or (isinstance(lo, bool) and lo == hi):
-            return lo
-        sel_index = level - 1
-
-        if isinstance(lo, bool) and isinstance(hi, bool):
-            if hi and not lo:
-                return lambda values, ones: values[sel_index]
-            # lo and not hi
-            return lambda values, ones: values[sel_index] ^ ones
-
-        def node(values, ones, lo=lo, hi=hi, sel_index=sel_index):
-            sel = values[sel_index]
-            lo_words = lo if isinstance(lo, np.ndarray) else (
-                lo(values, ones) if callable(lo) else (ones if lo else None)
-            )
-            hi_words = hi if isinstance(hi, np.ndarray) else (
-                hi(values, ones) if callable(hi) else (ones if hi else None)
-            )
-            if lo_words is None:  # constant 0
-                return sel & hi_words
-            if hi_words is None:
-                return ~sel & lo_words
-            return (sel & hi_words) | (~sel & lo_words)
-
-        return node
-
-    # Shannon on the full table; inputs ordered LSB-first like
-    # TruthTable indices.
-    root = build(n, table.bits)
-    if isinstance(root, bool):
-        constant = root
-
-        def evaluator(values, ones, zeros):
-            return ones.copy() if constant else zeros.copy()
-
-    else:
-
-        def evaluator(values, ones, zeros, root=root):
-            result = root(values, ones)
-            return result & ones  # mask tail lanes
-
-    _EVALUATOR_CACHE[key] = evaluator
-    return evaluator
-
-
 def _gate_delay(net: str, jitter: int) -> int:
     """Deterministic per-gate delay in ``1 .. 1 + jitter`` ticks."""
     if jitter <= 0:
@@ -178,8 +98,8 @@ _INT_EVALUATOR_CACHE: Dict[Tuple[int, int], Callable] = {}
 def _compile_table_int(table: TruthTable) -> Callable:
     """Compile a truth table into a packed big-int evaluator.
 
-    Same Shannon expansion as :func:`_compile_table`, but over Python
-    integers (bit ``i`` = lane ``i``) and code-generated into one flat
+    Shannon expansion over the inputs, over Python integers (bit
+    ``i`` = lane ``i``) and code-generated into one flat
     expression — a single function call per gate evaluation, with no
     interpreter-level tree walking. Every intermediate stays within the
     ``ones`` lane mask by construction (``~x`` only ever appears under
@@ -432,7 +352,6 @@ def simulate_design(
     collect_per_net: bool = False,
     idle_selects: str = "zero",
     delay_jitter: int = 0,
-    kernel: str = "event",
 ) -> SimulationResult:
     """Replay the control table over the netlist for all lanes.
 
@@ -447,22 +366,9 @@ def simulate_design(
     the pure unit-delay model — the estimator-vs-measurement gap is an
     ablation bench).
 
-    ``kernel`` selects the implementation: ``"event"`` (default) is the
-    native event-driven kernel (the batch kernel when it is unavailable,
-    see the module docstring); ``"reference"`` is the original
-    timed-waveform loop kept as the differential-testing oracle. Both
-    produce byte-identical results.
+    Runs the native event kernel, or the batch kernel when it is
+    unavailable (see the module docstring).
     """
-    if kernel == "reference":
-        return _simulate_reference(
-            design, vectors, collect_per_net, idle_selects, delay_jitter
-        )
-    if kernel != "event":
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r}; choose 'event' or "
-            f"'reference'"
-        )
-
     netlist = design.netlist
     compiled = compile_netlist(netlist, delay_jitter)
     if compiled.native_arrays is None:
@@ -579,14 +485,13 @@ def simulate_batch(
     design: ElaboratedDesign,
     configs: List[BatchConfig],
     collect_per_net: bool = False,
-    kernel: str = "event",
 ) -> List[SimulationResult]:
     """Simulate every configuration in one batched kernel pass.
 
     Returns one :class:`SimulationResult` per configuration, in order,
     byte-identical to what :func:`simulate_design` produces for that
     configuration alone (the differential suite pins this against the
-    ``"reference"`` kernel).
+    seed simulator).
 
     Layout: configuration ``c`` occupies lanes ``[offset_c, offset_c +
     lanes_c)`` of every net's packed big int. Bitwise ops never move
@@ -598,23 +503,7 @@ def simulate_batch(
     each landing only on its own lanes. Idle conventions differ only in
     the per-step control words, composed per-config with the same
     masks.
-
-    ``kernel="reference"`` runs the oracle once per configuration —
-    the batched path's differential baseline.
     """
-    if kernel == "reference":
-        return [
-            _simulate_reference(
-                design, config.vectors, collect_per_net,
-                config.idle_selects, config.delay_jitter,
-            )
-            for config in configs
-        ]
-    if kernel != "event":
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r}; choose 'event' or "
-            f"'reference'"
-        )
     if not configs:
         return []
 
@@ -1015,157 +904,6 @@ def _settle_events_batch(
             ).astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# Reference kernel (the seed implementation, kept as the differential
-# oracle: per-gate timed waveforms settled in topological order).
-# ---------------------------------------------------------------------------
-
-
-class _Waveform:
-    """Timed transitions of one net within a control step."""
-
-    __slots__ = ("times", "values")
-
-    def __init__(self):
-        self.times: List[int] = []
-        self.values: List[np.ndarray] = []
-
-    def value_at(self, time: int, steady: np.ndarray) -> np.ndarray:
-        """Net value at (just after) ``time``."""
-        result = steady
-        for t, value in zip(self.times, self.values):
-            if t <= time:
-                result = value
-            else:
-                break
-        return result
-
-
-def _simulate_reference(
-    design: ElaboratedDesign,
-    vectors: VectorSet,
-    collect_per_net: bool = False,
-    idle_selects: str = "zero",
-    delay_jitter: int = 0,
-) -> SimulationResult:
-    """The original timed-waveform simulator (see :func:`simulate_design`)."""
-    netlist = design.netlist
-    lanes = vectors.lanes
-    words = n_words(lanes)
-    ones = broadcast(True, lanes)
-    zeros = np.zeros(words, dtype=np.uint64)
-
-    controller = build_controller(design.datapath)
-    control_values = controller.resolved(idle_selects)
-
-    topo = netlist.topological_order()
-    gates = [netlist.gates[net] for net in topo]
-    evaluators = [_compile_table(gate.table) for gate in gates]
-    delays = [_gate_delay(gate.output, delay_jitter) for gate in gates]
-    fanout_positions: Dict[str, List[int]] = {}
-    for position, gate in enumerate(gates):
-        for name in gate.inputs:
-            fanout_positions.setdefault(name, []).append(position)
-
-    steady: Dict[str, np.ndarray] = {}
-    for net in netlist.inputs:
-        steady[net] = zeros.copy()
-    for net in netlist.latches:
-        steady[net] = zeros.copy()
-
-    # Settle the all-zero state without counting (power-on, as in the
-    # paper's simulator warm-up before vectors apply).
-    for gate, evaluator in zip(gates, evaluators):
-        values = [steady[name] for name in gate.inputs]
-        steady[gate.output] = evaluator(values, ones, zeros)
-
-    counters = {
-        "comb": 0,
-        "reg": 0,
-        "pad": 0,
-        "control": 0,
-    }
-    per_net: Dict[str, int] = {}
-
-    def count(net: str, delta_words: np.ndarray, category: str) -> None:
-        toggles = popcount(delta_words)
-        if toggles:
-            counters[category] += toggles
-            if collect_per_net:
-                per_net[net] = per_net.get(net, 0) + toggles
-
-    def drive(net: str, new_value: np.ndarray, category: str, changed):
-        old = steady[net]
-        delta = old ^ new_value
-        if delta.any():
-            count(net, delta, category)
-            steady[net] = new_value
-            changed[net] = old  # remember pre-change value
-
-    n_steps = len(design.datapath.control)
-    for step in range(n_steps):
-        changed: Dict[str, np.ndarray] = {}
-
-        # Pads present their vector at the load step.
-        if step == 0:
-            for position, nets in design.pad_nets.items():
-                for bit, net in enumerate(nets):
-                    drive(net, vectors.pad_words(position, bit), "pad", changed)
-
-        # Control signals take this step's value.
-        for name, nets in design.control_nets.items():
-            value = control_values.get(name)
-            if value is None:
-                continue
-            step_value = value[step]
-            for bit, net in enumerate(nets):
-                bit_set = bool((step_value >> bit) & 1)
-                drive(net, ones.copy() if bit_set else zeros.copy(),
-                      "control", changed)
-
-        _propagate(
-            gates, evaluators, delays, fanout_positions, steady, changed,
-            ones, zeros, count,
-        )
-
-        # Clock edge: all flip-flops load their data nets.
-        updates = []
-        for latch in netlist.latches.values():
-            new_q = steady[latch.data]
-            updates.append((latch.output, new_q))
-        changed = {}
-        for net, new_q in updates:
-            drive(net, new_q.copy(), "reg", changed)
-        # Settle after the clock edge (counted — the paper's simulator
-        # sees these transitions too, including after the final edge).
-        _propagate(
-            gates, evaluators, delays, fanout_positions, steady, changed,
-            ones, zeros, count,
-        )
-
-    outputs: Dict[int, List[int]] = {}
-    for position, nets in design.output_nets.items():
-        values = []
-        for lane in range(lanes):
-            value = 0
-            for bit, net in enumerate(nets):
-                if (int(steady[net][lane // 64]) >> (lane % 64)) & 1:
-                    value |= 1 << bit
-            values.append(value)
-        outputs[position] = values
-
-    return SimulationResult(
-        lanes=lanes,
-        steps=n_steps,
-        comb_toggles=counters["comb"],
-        register_toggles=counters["reg"],
-        pad_toggles=counters["pad"],
-        control_toggles=counters["control"],
-        per_net=per_net,
-        outputs=outputs,
-    )
-
-
 def golden_outputs(
     design: ElaboratedDesign, vectors: VectorSet
 ) -> Dict[int, List[int]]:
@@ -1200,77 +938,3 @@ def golden_outputs(
         position: [int(value) for value in values[var_id]]
         for position, var_id in enumerate(cdfg.primary_outputs)
     }
-
-
-def _propagate(
-    gates,
-    evaluators,
-    delays,
-    fanout_positions,
-    steady: Dict[str, np.ndarray],
-    changed_sources: Dict[str, np.ndarray],
-    ones: np.ndarray,
-    zeros: np.ndarray,
-    count,
-) -> None:
-    """Timed-waveform settling after source changes (unit delay).
-
-    ``changed_sources`` maps nets that changed at time 0 to their
-    *previous* value; ``steady`` already holds their new value.
-    """
-    if not changed_sources:
-        return
-    waveforms: Dict[str, _Waveform] = {}
-    previous: Dict[str, np.ndarray] = {}
-    for net, old in changed_sources.items():
-        wave = _Waveform()
-        wave.times.append(0)
-        wave.values.append(steady[net])
-        waveforms[net] = wave
-        previous[net] = old
-
-    dirty = [
-        position
-        for net in changed_sources
-        for position in fanout_positions.get(net, [])
-    ]
-    dirty_set = set(dirty)
-
-    for position, (gate, evaluator) in enumerate(zip(gates, evaluators)):
-        if position not in dirty_set:
-            continue
-        delay = delays[position]
-        input_waves = [
-            (index, waveforms[name])
-            for index, name in enumerate(gate.inputs)
-            if name in waveforms
-        ]
-        if not input_waves:
-            continue
-        times = sorted(
-            {t for _, wave in input_waves for t in wave.times}
-        )
-        old_output = steady[gate.output]
-        base_values = [
-            previous.get(name, steady[name]) for name in gate.inputs
-        ]
-        last_value = old_output
-        wave = _Waveform()
-        for t in times:
-            current = list(base_values)
-            for index, in_wave in input_waves:
-                current[index] = in_wave.value_at(
-                    t, previous.get(gate.inputs[index], steady[gate.inputs[index]])
-                )
-            new_value = evaluator(current, ones, zeros)
-            if (new_value ^ last_value).any():
-                wave.times.append(t + delay)
-                wave.values.append(new_value)
-                count(gate.output, new_value ^ last_value, "comb")
-                last_value = new_value
-        if wave.times:
-            waveforms[gate.output] = wave
-            previous[gate.output] = old_output
-            steady[gate.output] = last_value
-            for fan in fanout_positions.get(gate.output, []):
-                dirty_set.add(fan)

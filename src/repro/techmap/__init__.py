@@ -7,12 +7,10 @@ of Section 4. The mapper is the connection between the high-level
 binding and the gate level: the paper's dynamic power estimation "is
 accomplished using a low-power FPGA technology mapper [6]".
 
-Two implementations share the algorithm (see docs/techmap.md): the
-compiled fast path (:mod:`repro.techmap.compile` — interned net ids,
-bitmask cuts, NPN-keyed cone memoization, batched numpy evaluation)
-and the seed mapper, kept verbatim behind ``effort="reference"`` as
-the differential-testing oracle. ``effort="exhaustive"`` lifts the
-per-node evaluation budget.
+The mapper is the compiled implementation (see docs/techmap.md):
+:mod:`repro.techmap.compile` — interned net ids, bitmask cuts,
+NPN-keyed cone memoization, batched numpy evaluation.
+``effort="exhaustive"`` lifts the per-node evaluation budget.
 """
 
 from repro.techmap.compile import (

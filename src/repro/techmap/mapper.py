@@ -20,27 +20,23 @@ in Section 4 of the paper:
    of the selected cuts' activities is the netlist ``SA`` of
    Equation (3).
 
-Three effort levels share this algorithm (see :data:`MAP_EFFORTS` and
-docs/techmap.md):
+Two effort levels share this algorithm (see :data:`MAP_EFFORTS` and
+docs/techmap.md), both on the compiled mapper
+(:mod:`repro.techmap.compile`: interned net ids, bitmask cut
+enumeration, NPN-keyed memoization of cone evaluations, and batched
+numpy SA evaluation):
 
-* ``"fast"`` (default) — the compiled mapper
-  (:mod:`repro.techmap.compile`): interned net ids, bitmask cut
-  enumeration, NPN-keyed memoization of cone evaluations, and batched
-  numpy SA evaluation. Bit-identical results to ``"reference"``,
-  several times faster.
-* ``"exhaustive"`` — the compiled mapper with the per-node SA
-  evaluation budget lifted: every surviving cut is evaluated instead
-  of the first :data:`DEFAULT_SA_EVAL_LIMIT`.
-* ``"reference"`` — the original mapper, kept verbatim as the
-  differential-testing oracle.
+* ``"fast"`` (default) — the first :data:`DEFAULT_SA_EVAL_LIMIT`
+  surviving cuts per node are evaluated. Bit-identical to the seed
+  mapper (``tests/oracles/mapper.py``), several times faster.
+* ``"exhaustive"`` — the per-node SA evaluation budget is lifted:
+  every surviving cut is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import MappingError
 from repro.activity.glitch import (
@@ -52,13 +48,7 @@ from repro.activity.probability import (
     DEFAULT_INPUT_PROBABILITY,
     gate_output_probability,
 )
-from repro.activity.transition import (
-    clamp_activity,
-    held_distribution,
-    mixed_joint_matrix,
-    pair_distribution,
-    switching_activity,
-)
+from repro.activity.transition import clamp_activity, switching_activity
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.techmap.compile import (
     ConeMemo,
@@ -68,18 +58,13 @@ from repro.techmap.compile import (
     enumerate_cuts_ids,
     npn_key,
 )
-from repro.techmap.cuts import (
-    DEFAULT_CUT_CAP,
-    Cut,
-    cone_function,
-    enumerate_cuts,
-)
+from repro.techmap.cuts import DEFAULT_CUT_CAP
 
 #: How many candidate cuts get a full SA evaluation per node.
 DEFAULT_SA_EVAL_LIMIT = 5
 
 #: Valid mapper effort levels.
-MAP_EFFORTS = ("fast", "exhaustive", "reference")
+MAP_EFFORTS = ("fast", "exhaustive")
 
 
 @dataclass
@@ -124,9 +109,8 @@ def map_netlist(
     paper improves on; the resulting LUT network shape is comparable,
     which makes the pair a clean ablation.
 
-    ``effort`` selects the implementation (see module docstring):
-    ``"fast"`` and ``"reference"`` produce bit-identical results;
-    ``"exhaustive"`` evaluates every surviving cut per node.
+    ``effort`` is ``"fast"`` or ``"exhaustive"`` (every surviving cut
+    evaluated per node; see the module docstring).
     ``cone_memo`` optionally carries memoized cone evaluations across
     calls (the flow's techmap stage shares one per elaborated netlist
     via the artifact cache); it is only consulted for exact matches,
@@ -136,130 +120,12 @@ def map_netlist(
         raise MappingError(
             f"unknown mapper effort {effort!r}; choose from {MAP_EFFORTS}"
         )
-    if effort == "reference":
-        return _map_reference(
-            netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
-            input_activities, default_probability, default_activity,
-        )
     return _map_fast(
         netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
         input_activities, default_probability, default_activity,
         exhaustive=(effort == "exhaustive"),
         memo=cone_memo if cone_memo is not None else ConeMemo(),
     )
-
-
-# ---------------------------------------------------------------------------
-# The reference mapper — the seed implementation, kept verbatim as the
-# differential-testing oracle for the compiled fast path.
-# ---------------------------------------------------------------------------
-
-
-def _map_reference(
-    netlist: Netlist,
-    k: int = 4,
-    cut_cap: int = DEFAULT_CUT_CAP,
-    sa_eval_limit: int = DEFAULT_SA_EVAL_LIMIT,
-    glitch_aware: bool = True,
-    input_probs: Optional[Mapping[str, float]] = None,
-    input_activities: Optional[Mapping[str, float]] = None,
-    default_probability: float = DEFAULT_INPUT_PROBABILITY,
-    default_activity: float = DEFAULT_INPUT_ACTIVITY,
-) -> MapResult:
-    cuts = enumerate_cuts(netlist, k, cut_cap)
-    fanouts = {
-        net: max(1, len(readers))
-        for net, readers in netlist.fanout_map().items()
-    }
-
-    waveforms: Dict[str, GlitchWaveform] = {}
-    depths: Dict[str, int] = {}
-    sa_flow: Dict[str, float] = {}
-    area_flow: Dict[str, float] = {}
-    for net in list(netlist.inputs) + list(netlist.latches):
-        prob = (input_probs or {}).get(net, default_probability)
-        act = (input_activities or {}).get(net, default_activity)
-        waveforms[net] = source_waveform(prob, act)
-        depths[net] = 0
-        sa_flow[net] = 0.0
-        area_flow[net] = 0.0
-
-    chosen: Dict[str, Tuple[Tuple[str, ...], TruthTable]] = {}
-    for net in netlist.topological_order():
-        gate = netlist.gates[net]
-        if not gate.inputs:
-            value = gate.table.is_constant()
-            if value is None:
-                raise MappingError(f"zero-input non-constant gate {net!r}")
-            waveforms[net] = GlitchWaveform(1.0 if value else 0.0, {}, 0)
-            depths[net] = 0
-            sa_flow[net] = 0.0
-            area_flow[net] = 0.0
-            chosen[net] = ((), gate.table)
-            continue
-        candidates = [c for c in cuts[net] if c != frozenset((net,))]
-        if not candidates:
-            raise MappingError(_no_cut_message(net, k, cut_cap))
-        best = None
-        for cut in candidates[: max(1, sa_eval_limit)]:
-            leaves = tuple(sorted(cut))
-            table = cone_function(netlist, net, leaves)
-            wave, depth = _evaluate_cut(
-                table, [waveforms[l] for l in leaves],
-                [depths[l] for l in leaves], glitch_aware,
-            )
-            flow = wave.total() + sum(
-                sa_flow[l] / fanouts[l] for l in leaves
-            )
-            af = 1.0 + sum(area_flow[l] / fanouts[l] for l in leaves)
-            cost = (flow, depth, af)
-            if best is None or cost < best[0]:
-                best = (cost, leaves, table, wave, depth)
-        (flow, depth, af), leaves, table, wave, depth = best
-        waveforms[net] = wave
-        depths[net] = depth
-        sa_flow[net] = flow
-        area_flow[net] = af
-        chosen[net] = (leaves, table)
-
-    return _finish(netlist, k, chosen, waveforms, depths)
-
-
-def _evaluate_cut(
-    table: TruthTable,
-    leaf_waves: Sequence[GlitchWaveform],
-    leaf_depths: Sequence[int],
-    glitch_aware: bool,
-) -> Tuple[GlitchWaveform, int]:
-    """Waveform and depth of a LUT implementing ``table`` over leaves."""
-    depth = 1 + max(leaf_depths, default=0)
-    probs = [w.probability for w in leaf_waves]
-    out_prob = gate_output_probability(table, probs)
-    if not glitch_aware:
-        acts = [clamp_activity(w.probability, w.total()) for w in leaf_waves]
-        activity = switching_activity(table, probs, acts)
-        activity = clamp_activity(out_prob, activity)
-        steps = {depth: activity} if activity > 0.0 else {}
-        return GlitchWaveform(out_prob, steps, depth), depth
-
-    column = np.array(table.output_column(), dtype=np.float64)
-    differs = column[:, None] != column[None, :]
-    steps: Dict[int, float] = {}
-    trigger_times = sorted({t for w in leaf_waves for t in w.steps})
-    for t in trigger_times:
-        joints = []
-        for wave in leaf_waves:
-            s_t = wave.steps.get(t, 0.0)
-            if s_t > 0.0:
-                s_t = clamp_activity(wave.probability, s_t)
-                joints.append(pair_distribution(wave.probability, s_t))
-            else:
-                joints.append(held_distribution(wave.probability))
-        matrix = mixed_joint_matrix(table.n_inputs, joints)
-        activity = float(matrix[differs].sum())
-        if activity > 0.0:
-            steps[t + 1] = clamp_activity(out_prob, activity)
-    return GlitchWaveform(out_prob, steps, depth), depth
 
 
 # ---------------------------------------------------------------------------

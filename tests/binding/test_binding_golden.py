@@ -20,12 +20,12 @@ import pytest
 
 from repro import BENCHMARK_NAMES, benchmark_spec
 from repro.binding import bind_hlpower, bind_lopass
-from repro.binding.compile import bind_hlpower_fast, bind_lopass_fast
 from repro.binding.hlpower import HLPowerConfig
 from repro.cdfg import load_benchmark
 from repro.flow.run import prepare_flow_inputs
 from repro.rtl.metrics import mux_report
 from repro.scheduling import list_schedule
+from tests.oracles import bind_hlpower_reference, bind_lopass_reference
 
 #: benchmark -> config -> (mux_length, muxDiff sum, registers).
 #: Regenerate ONLY for a deliberate algorithm change, never to make a
@@ -88,11 +88,13 @@ def elaborated(benchmark):
 def run_config(benchmark, config, sa_table, engine="fast"):
     schedule, limits, registers, ports = elaborated(benchmark)
     if config == "lopass":
-        binder = bind_lopass_fast if engine == "fast" else bind_lopass
+        binder = bind_lopass if engine == "fast" else bind_lopass_reference
         return binder(schedule, limits, registers, ports)
     alpha = {"hlpower_a1": 1.0, "hlpower_a05": 0.5}[config]
     hl_cfg = HLPowerConfig(alpha=alpha, sa_table=sa_table)
-    binder = bind_hlpower_fast if engine == "fast" else bind_hlpower
+    binder = (
+        bind_hlpower if engine == "fast" else bind_hlpower_reference
+    )
     return binder(schedule, limits, registers, ports, hl_cfg)
 
 

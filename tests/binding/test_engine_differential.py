@@ -1,9 +1,9 @@
 """Differential pinning: the vectorized bind engines vs the seed binders.
 
-``bind_engine="fast"`` must be a pure speedup — identical
+The vectorized binders must be a pure speedup — identical
 BindingSolutions (same units, same operations per unit, same order)
 and byte-identical downstream FlowResults versus the seed binders
-kept behind ``bind_engine="reference"``. The full benchmark x binder
+(``tests/oracles/binding.py``). The full benchmark x binder
 cross-product (including perturbed resource constraints) is
 slow-marked; a smoke subset stays in tier-1 so every push checks the
 contract.
@@ -19,11 +19,7 @@ import pytest
 
 from repro import BENCHMARK_NAMES, benchmark_spec
 from repro.binding import bind_hlpower, bind_lopass, bind_optimal
-from repro.binding.compile import (
-    BindMemo,
-    bind_hlpower_fast,
-    bind_lopass_fast,
-)
+from repro.binding.compile import BindMemo
 from repro.binding.hlpower import HLPowerConfig
 from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import (
@@ -36,6 +32,11 @@ from repro.flow.run import FlowConfig, run_flow
 from repro.rtl.metrics import mux_report
 from repro.scheduling import list_schedule
 from repro.flow.run import prepare_flow_inputs
+from tests.oracles import (
+    bind_hlpower_reference,
+    bind_lopass_reference,
+    oracle_engines,
+)
 
 #: Small benchmarks that keep the smoke subset inside tier-1 budget.
 _SMOKE_BENCHMARKS = ("pr", "wang", "honda")
@@ -72,11 +73,13 @@ def both_engines(benchmark, binder, sa_table, constraints=None):
     schedule, limits, registers, ports = elaborated(benchmark, constraints)
     if binder == "hlpower":
         cfg = HLPowerConfig(sa_table=sa_table)
-        reference = bind_hlpower(schedule, limits, registers, ports, cfg)
-        fast = bind_hlpower_fast(schedule, limits, registers, ports, cfg)
+        reference = bind_hlpower_reference(
+            schedule, limits, registers, ports, cfg
+        )
+        fast = bind_hlpower(schedule, limits, registers, ports, cfg)
     else:
-        reference = bind_lopass(schedule, limits, registers, ports)
-        fast = bind_lopass_fast(schedule, limits, registers, ports)
+        reference = bind_lopass_reference(schedule, limits, registers, ports)
+        fast = bind_lopass(schedule, limits, registers, ports)
     return reference, fast
 
 
@@ -94,12 +97,12 @@ class TestSmoke:
         schedule, limits, registers, ports = elaborated("honda")
         cfg = HLPowerConfig(sa_table=sa_table)
         memo = BindMemo()
-        cold = bind_hlpower_fast(
+        cold = bind_hlpower(
             schedule, limits, registers, ports, cfg, memo
         )
         assert memo.stats()["entries"] > 0
         assert memo.stats()["hits"] == 0
-        warm = bind_hlpower_fast(
+        warm = bind_hlpower(
             schedule, limits, registers, ports, cfg, memo
         )
         assert memo.stats()["hits"] > 0
@@ -109,16 +112,16 @@ class TestSmoke:
         """Alpha sweeps share every block whose node sets coincide."""
         schedule, limits, registers, ports = elaborated("wang")
         memo = BindMemo()
-        bind_hlpower_fast(
+        bind_hlpower(
             schedule, limits, registers, ports,
             HLPowerConfig(alpha=0.5, sa_table=sa_table), memo,
         )
         entries = memo.stats()["entries"]
-        reference = bind_hlpower(
+        reference = bind_hlpower_reference(
             schedule, limits, registers, ports,
             HLPowerConfig(alpha=1.0, sa_table=sa_table),
         )
-        fast = bind_hlpower_fast(
+        fast = bind_hlpower(
             schedule, limits, registers, ports,
             HLPowerConfig(alpha=1.0, sa_table=sa_table), memo,
         )
@@ -133,15 +136,15 @@ class TestSmoke:
         spec = benchmark_spec("pr")
         schedule, limits, registers, ports = elaborated("pr")
         results = {}
-        for engine in ("fast", "reference"):
-            config = FlowConfig(
-                n_vectors=32, sa_table=sa_table, bind_engine=engine
-            )
-            for binder in ("lopass", "hlpower"):
-                result = run_flow(
+        config = FlowConfig(n_vectors=32, sa_table=sa_table)
+        for binder in ("lopass", "hlpower"):
+            results[("fast", binder)] = run_flow(
+                schedule, limits, binder, config, registers, ports
+            ).metrics()
+            with oracle_engines("bind"):
+                results[("reference", binder)] = run_flow(
                     schedule, limits, binder, config, registers, ports
-                )
-                results[(engine, binder)] = result.metrics()
+                ).metrics()
         for binder in ("lopass", "hlpower"):
             assert results[("fast", binder)] == results[
                 ("reference", binder)
@@ -205,8 +208,8 @@ def oracle_lengths(name, sa_table):
         name, instance.constraints
     )
     optimal = bind_optimal(schedule, limits, registers, ports)
-    lopass = bind_lopass_fast(schedule, limits, registers, ports)
-    hlpower = bind_hlpower_fast(
+    lopass = bind_lopass(schedule, limits, registers, ports)
+    hlpower = bind_hlpower(
         schedule, limits, registers, ports,
         HLPowerConfig(sa_table=sa_table),
     )

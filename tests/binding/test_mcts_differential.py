@@ -14,15 +14,15 @@ objective (total FU mux inputs):
 
 Tier-1 runs a 3-instance smoke; the full 62-instance oracle-feasible
 slice rides the ``slow`` marker (the nightly CI job runs it). A third
-check pins engine-independence: the "reference" incumbents are
-decision-identical to the "fast" ones, so the search must return the
-same solution either way.
+check pins engine-independence: the seed binders' incumbents
+(``tests/oracles``) are decision-identical to the vectorized ones, so
+the search must return the same solution either way.
 """
 
 import pytest
 
 from repro.binding import bind_optimal
-from repro.binding.compile import bind_hlpower_fast, bind_lopass_fast
+from repro.binding import bind_hlpower, bind_lopass
 from repro.binding.mcts import MCTSConfig, bind_mcts
 from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import (
@@ -33,6 +33,7 @@ from repro.cdfg.corpus import (
 from repro.flow.run import prepare_flow_inputs
 from repro.rtl.metrics import mux_report
 from repro.scheduling import list_schedule
+from tests.oracles import oracle_engines
 
 _ELABORATED = {}
 
@@ -59,8 +60,8 @@ def elaborated(instance):
 
 def check_sandwich(instance):
     schedule, limits, registers, ports = elaborated(instance)
-    hlpower = bind_hlpower_fast(schedule, limits, registers, ports)
-    lopass = bind_lopass_fast(schedule, limits, registers, ports)
+    hlpower = bind_hlpower(schedule, limits, registers, ports)
+    lopass = bind_lopass(schedule, limits, registers, ports)
     mcts = bind_mcts(schedule, limits, registers, ports, MCTSConfig())
     optimal = bind_optimal(schedule, limits, registers, ports)
     lengths = {
@@ -114,10 +115,10 @@ def test_engine_independent(instance):
     # binders, so the search sees the same starting point and the same
     # RNG stream — the solutions must match unit for unit.
     schedule, limits, registers, ports = elaborated(instance)
-    fast = bind_mcts(schedule, limits, registers, ports,
-                     MCTSConfig(engine="fast"))
-    reference = bind_mcts(schedule, limits, registers, ports,
-                          MCTSConfig(engine="reference"))
+    fast = bind_mcts(schedule, limits, registers, ports, MCTSConfig())
+    with oracle_engines("bind"):
+        reference = bind_mcts(schedule, limits, registers, ports,
+                              MCTSConfig())
     assert [
         (unit.fu_id, unit.fu_class, unit.ops) for unit in fast.fus.units
     ] == [

@@ -18,7 +18,7 @@ Three invariant families, over random corpus draws and knob settings:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.binding.compile import bind_hlpower_fast, bind_lopass_fast
+from repro.binding import bind_hlpower, bind_lopass
 from repro.binding.mcts import MCTSConfig, bind_mcts
 from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import (
@@ -101,8 +101,8 @@ def test_solutions_always_legal(index, budget, seed):
 def test_budget_zero_is_exactly_the_best_heuristic(index, seed):
     instance = _ORACLE_SLICE[index]
     schedule, limits, registers, ports = elaborated(instance)
-    hlpower = bind_hlpower_fast(schedule, limits, registers, ports)
-    lopass = bind_lopass_fast(schedule, limits, registers, ports)
+    hlpower = bind_hlpower(schedule, limits, registers, ports)
+    lopass = bind_lopass(schedule, limits, registers, ports)
 
     def objective(solution):
         report = mux_report(solution)

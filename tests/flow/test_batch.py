@@ -15,6 +15,7 @@ from repro.flow import (
     expand_grid,
     run_sweep,
 )
+from tests.oracles import oracle_engines
 
 
 def small_spec(**overrides):
@@ -132,23 +133,25 @@ class TestExpandGrid:
         with pytest.raises(ConfigError):
             expand_grid(SweepSpec(benchmarks=["pr"], widths=()))
 
-    def test_unknown_sim_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_grid(SweepSpec(benchmarks=["pr"], sim_kernel="quantum"))
+    def test_reference_map_effort_rejected(self):
+        with pytest.raises(ConfigError, match="'fast', 'exhaustive'"):
+            expand_grid(small_spec(map_effort="reference"))
+
+    @pytest.mark.parametrize("retired", ["sim_kernel", "bind_engines"])
+    def test_retired_engine_field_rejected(self, retired):
+        with pytest.raises(ConfigError, match=retired) as info:
+            SweepSpec.from_dict({"benchmarks": ["pr"], retired: "reference"})
+        assert "accepted:" in str(info.value)
+        assert "map_effort" in str(info.value)
 
 
 class TestSimKernel:
     def test_reference_kernel_metrics_identical(self):
-        """The sweep-level kernel flag must not move any metric."""
+        """The seed simulator under a sweep must not move any metric."""
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
         event = run_sweep(spec, jobs=1)
-        reference = run_sweep(
-            small_spec(
-                binders=("lopass",), vector_seeds=(7,),
-                sim_kernel="reference",
-            ),
-            jobs=1,
-        )
+        with oracle_engines("simulate"):
+            reference = run_sweep(spec, jobs=1)
         assert event.cells[0].metrics == reference.cells[0].metrics
 
 
@@ -165,10 +168,8 @@ class TestParallelDeterminism:
         keys = {cell.key for cell in serial_sweep.cells}
         assert len(keys) == 4
         # Cell keys carry every grid axis, sim-only axes included.
-        assert ("pr", "lopass", 4, 7, "zero", 0, "event", "fast",
-                "fast", "fast") in keys
-        assert ("pr", "hlpower", 4, 8, "zero", 0, "event", "fast",
-                "fast", "fast") in keys
+        assert ("pr", "lopass", 4, 7, "zero", 0, "fast") in keys
+        assert ("pr", "hlpower", 4, 8, "zero", 0, "fast") in keys
 
     def test_jobs_recorded(self, serial_sweep, parallel_sweep):
         assert serial_sweep.jobs == 1
@@ -321,22 +322,19 @@ class TestSimOnlyAxes:
 
     def test_grid_size_includes_new_axes(self):
         spec = small_spec(
-            binders=("lopass",), vector_seeds=(7,),
+            binders=("lopass",), vector_seeds=(7, 8),
             idle_modes=("zero", "hold"), jitters=(0, 1),
-            sim_kernels=("event", "reference"),
         )
         jobs = expand_grid(spec)
         assert len(jobs) == 2 * 2 * 2
-        kernels = {job.sim_kernel for job in jobs}
-        assert kernels == {"event", "reference"}
+        seeds = {job.vector_seed for job in jobs}
+        assert seeds == {7, 8}
 
     def test_invalid_axis_values_rejected(self):
         with pytest.raises(ConfigError):
             expand_grid(small_spec(idle_modes=("float",)))
         with pytest.raises(ConfigError):
             expand_grid(small_spec(jitters=(-1,)))
-        with pytest.raises(ConfigError):
-            expand_grid(small_spec(sim_kernels=("quantum",)))
         with pytest.raises(ConfigError):
             expand_grid(small_spec(flow="partial"))
 
@@ -472,14 +470,6 @@ class TestBatchedSimulate:
             c.sim_batch for c in sweep.cells
         ]
 
-    def test_reference_kernel_cells_never_batched(self):
-        sweep = run_sweep(
-            self._knob_spec(jitters=(0,), sim_kernels=("reference",)),
-            jobs=1,
-        )
-        assert sweep.sim_batches == 0
-        assert all(cell.sim_batch == 0 for cell in sweep.cells)
-
     def test_summary_reports_batching(self):
         from repro.flow import format_sweep_summary
 
@@ -549,40 +539,21 @@ class TestForceScheduler:
         assert sweep.cell("dir", "lopass").metrics["area_luts"] > 0
 
 
-class TestBindEngineAxis:
-    """The bind-engine axis: grid shape, validation, and equivalence."""
-
-    def test_grid_size_includes_engine_axis(self):
-        spec = small_spec(
-            binders=("lopass",), vector_seeds=(7,),
-            bind_engines=("fast", "reference"),
-        )
-        jobs = expand_grid(spec)
-        assert len(jobs) == 2
-        assert {job.bind_engine for job in jobs} == {"fast", "reference"}
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_grid(small_spec(bind_engine="turbo"))
-        with pytest.raises(ConfigError):
-            expand_grid(small_spec(bind_engines=("fast", "turbo")))
-
-    def test_spec_round_trips_engine_axis(self):
-        spec = small_spec(bind_engines=("fast", "reference"))
-        clone = SweepSpec.from_dict(spec.to_dict())
-        assert clone.engines() == ["fast", "reference"]
-        assert clone.bind_engine == spec.bind_engine
+class TestBindOracle:
+    """The sweep's bind stage against the seed binders."""
 
     def test_engine_cells_byte_identical(self):
         """fast and reference cells agree on every estimate metric."""
         spec = small_spec(
             binders=("lopass", "hlpower"), vector_seeds=(7,),
-            bind_engines=("fast", "reference"), flow="estimate",
+            flow="estimate",
         )
         sweep = run_sweep(spec, jobs=1)
+        with oracle_engines("bind"):
+            seed = run_sweep(spec, jobs=1)
         for config in ("lopass", "hlpower"):
-            fast = sweep.cell("pr", config, bind_engine="fast")
-            reference = sweep.cell("pr", config, bind_engine="reference")
+            fast = sweep.cell("pr", config)
+            reference = seed.cell("pr", config)
             assert fast.metrics == reference.metrics
 
     def test_corpus_instance_through_sweep(self):

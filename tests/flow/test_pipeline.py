@@ -3,9 +3,12 @@
 The load-bearing property is the determinism contract: a pipeline run
 served from the artifact cache must produce byte-identical
 ``FlowResult.metrics()`` to a cold run — across binders, idle
-policies, delay jitter and both simulation kernels — because the
-cache only ever substitutes content-addressed recomputations.
+policies, delay jitter and both simulators (the product kernel and
+the seed oracle) — because the cache only ever substitutes
+content-addressed recomputations.
 """
+
+import contextlib
 
 import pytest
 
@@ -24,11 +27,20 @@ from repro.flow import (
     run_estimate,
     run_flow,
 )
+from tests.oracles import oracle_engines
 
 CONSTRAINTS = {"add": 2, "mult": 1}
 
 #: Pipeline prefix untouched by simulation-only knobs.
 PREFIX = ("bind", "datapath", "elaborate", "techmap", "timing")
+
+
+def simulator(kernel):
+    """Run the enclosed flows on the product kernel ("event") or on
+    the seed simulator ("reference")."""
+    if kernel == "reference":
+        return oracle_engines("simulate")
+    return contextlib.nullcontext()
 
 
 def config(**overrides):
@@ -51,14 +63,15 @@ class TestCachedVsCold:
     def test_warm_run_metrics_byte_identical(
         self, figure1_schedule, binder, idle, jitter, kernel
     ):
-        cfg = config(idle_selects=idle, delay_jitter=jitter,
-                     sim_kernel=kernel)
+        cfg = config(idle_selects=idle, delay_jitter=jitter)
         cache = ArtifactCache()
-        cold = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg,
-                        cache=cache)
-        warm = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg,
-                        cache=cache)
-        independent = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg)
+        with simulator(kernel):
+            cold = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg,
+                            cache=cache)
+            warm = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg,
+                            cache=cache)
+            independent = run_flow(figure1_schedule, CONSTRAINTS, binder,
+                                   cfg)
         assert cold.cache_hits == []
         assert set(warm.cache_hits) == set(STAGE_NAMES)
         assert warm.metrics() == cold.metrics()  # exact, not approx
@@ -72,12 +85,12 @@ class TestCachedVsCold:
             for idle in ("zero", "hold"):
                 for jitter in (0, 1):
                     for kernel in ("event", "reference"):
-                        cfg = config(idle_selects=idle, delay_jitter=jitter,
-                                     sim_kernel=kernel)
-                        shared = run_flow(figure1_schedule, CONSTRAINTS,
-                                          binder, cfg, cache=cache)
-                        cold = run_flow(figure1_schedule, CONSTRAINTS,
-                                        binder, cfg)
+                        cfg = config(idle_selects=idle, delay_jitter=jitter)
+                        with simulator(kernel):
+                            shared = run_flow(figure1_schedule, CONSTRAINTS,
+                                              binder, cfg, cache=cache)
+                            cold = run_flow(figure1_schedule, CONSTRAINTS,
+                                            binder, cfg)
                         assert shared.metrics() == cold.metrics()
                         # Simulation knobs never invalidate the prefix.
                         if (idle, jitter, kernel) != ("zero", 0, "event"):

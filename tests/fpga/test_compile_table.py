@@ -1,16 +1,18 @@
-"""Property tests for the simulator's compiled truth-table evaluators.
+"""Property tests for the seed simulator's compiled truth-table evaluators.
 
 ``_compile_table`` turns a :class:`TruthTable` into a packed-word
-evaluator via Shannon expansion; the simulator's correctness rests on
-it agreeing with direct truth-table evaluation for *every* function,
-so it gets its own exhaustive + property coverage.
+evaluator via Shannon expansion; the seed simulator
+(``tests/oracles/simulate.py``) — the oracle every product kernel is
+pinned to — rests on it agreeing with direct truth-table evaluation
+for *every* function, so it gets its own exhaustive + property
+coverage.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fpga.simulate import _compile_table
+from tests.oracles.simulate import _compile_table
 from repro.fpga.vectors import broadcast, pack_values, unpack_values
 from repro.netlist.gates import GateType, TruthTable
 
@@ -103,7 +105,7 @@ def test_tail_lanes_masked():
 
 
 def test_evaluator_cache_reuse():
-    from repro.fpga.simulate import _EVALUATOR_CACHE
+    from tests.oracles.simulate import _EVALUATOR_CACHE
 
     table = TruthTable(3, 0b10110010)
     first = _compile_table(table)

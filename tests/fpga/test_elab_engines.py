@@ -1,11 +1,11 @@
 """Differential pinning: the template-stamped elaborator vs the seed one.
 
-``elab_engine="fast"`` must be a pure speedup — byte-identical
-netlists (net names, gate insertion order, truth tables, latches,
-BLIF bytes) and identical design maps (pads, register/FU/control/
-output nets) versus the seed elaborator kept behind
-``elab_engine="reference"``. The paper benchmarks stay in tier-1; the
-classic 90-instance corpus cross-product is slow-marked.
+:func:`repro.fpga.elaborate_datapath` must be a pure speedup —
+byte-identical netlists (net names, gate insertion order, truth
+tables, latches, BLIF bytes) and identical design maps (pads,
+register/FU/control/output nets) versus the seed elaborator
+(``tests.oracles.elaborate_reference``). The paper benchmarks stay in
+tier-1; the classic 90-instance corpus cross-product is slow-marked.
 """
 
 import io
@@ -14,13 +14,13 @@ import pytest
 
 from repro import BENCHMARK_NAMES, benchmark_spec, load_benchmark
 from repro.cdfg.corpus import classic_corpus_names, corpus_instance
-from repro.errors import ConfigError
 from repro.flow.pipeline import run_binder
-from repro.flow.run import FlowConfig, prepare_flow_inputs
-from repro.fpga.compile import ELAB_ENGINES, elaborate_design
+from repro.flow.run import prepare_flow_inputs
+from repro.fpga import elaborate_datapath
 from repro.netlist.blif import write_blif
 from repro.rtl.datapath import build_datapath
 from repro.scheduling import list_schedule
+from tests.oracles import elaborate_reference
 
 #: Every ~15th classic corpus instance: cheap tier-1 sampling across
 #: all three families (the full 90 runs slow-marked below).
@@ -70,8 +70,8 @@ def assert_identical_designs(reference, fast) -> None:
 
 def assert_engines_agree(name: str, width: int = 8) -> None:
     datapath = datapath_for(name, width)
-    reference = elaborate_design(datapath, "reference")
-    fast = elaborate_design(datapath, "fast")
+    reference = elaborate_reference(datapath)
+    fast = elaborate_datapath(datapath)
     assert_identical_designs(reference, fast)
 
 
@@ -96,18 +96,3 @@ class TestClassicCorpusCrossProduct:
     @pytest.mark.parametrize("name", sorted(classic_corpus_names()))
     def test_byte_identical(self, name):
         assert_engines_agree(name)
-
-
-class TestDispatch:
-    def test_engine_vocabulary(self):
-        assert ELAB_ENGINES == ("fast", "reference")
-
-    def test_unknown_engine_raises(self):
-        datapath = datapath_for("pr")
-        with pytest.raises(ConfigError, match="unknown elab engine"):
-            elaborate_design(datapath, "turbo")
-
-    def test_flow_config_validates(self):
-        with pytest.raises(ConfigError):
-            FlowConfig(elab_engine="turbo")
-        assert FlowConfig(elab_engine="reference").elab_engine == "reference"

@@ -1,4 +1,6 @@
-"""Differential test: event-driven kernels vs the reference simulator.
+"""Differential test: event-driven kernels vs the seed simulator.
+
+The seed simulator is ``tests.oracles.simulate_reference``.
 
 The native event kernel (compiled netlist + time-wheel settling in
 ``settle.c``) and the seed timed-waveform loop implement the same delay
@@ -14,8 +16,8 @@ with a warning that names the arity.
 
 The batched kernel (:func:`simulate_batch`) shares the same contract
 per configuration: every per-config record of a batched run must equal
-a solo ``kernel="reference"`` run of that configuration (a fast chem
-smoke here, the full benchmark cross-product slow-marked), and a batch
+a solo seed-simulator run of that configuration (a fast chem smoke
+here, the full benchmark cross-product slow-marked), and a batch
 of one must equal the unbatched event kernel (hypothesis property).
 """
 
@@ -33,11 +35,11 @@ from repro.fpga import (
     simulate_batch,
     simulate_design,
 )
-from repro.errors import SimulationError
 from repro.fpga import native
 from repro.netlist.gates import GateType, Netlist, TruthTable
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
+from tests.oracles import simulate_reference
 
 WIDTH = 4
 #: Not a multiple of 64, so the tail-lane masking is exercised too.
@@ -101,20 +103,13 @@ def test_kernels_byte_identical(
         design, vectors, collect_per_net=True,
         idle_selects=idle_selects, delay_jitter=delay_jitter,
     )
-    reference = simulate_design(
+    reference = simulate_reference(
         design, vectors, collect_per_net=True,
         idle_selects=idle_selects, delay_jitter=delay_jitter,
-        kernel="reference",
     )
     # Dataclass equality covers every counter, the per-net map and the
     # per-lane outputs.
     assert event == reference
-
-
-def test_unknown_kernel_rejected(mapped_design):
-    design, vectors = mapped_design
-    with pytest.raises(SimulationError):
-        simulate_design(design, vectors, kernel="quantum")
 
 
 def test_compiled_netlist_is_cached(mapped_design):
@@ -146,10 +141,9 @@ def test_compiled_netlist_invalidated_on_mutation(mapped_design):
 # ---------------------------------------------------------------------------
 
 def _solo_reference(design, config, collect_per_net=True):
-    return simulate_design(
+    return simulate_reference(
         design, config.vectors, collect_per_net=collect_per_net,
         idle_selects=config.idle_selects, delay_jitter=config.delay_jitter,
-        kernel="reference",
     )
 
 
@@ -196,12 +190,6 @@ def test_batch_matches_reference_all_benchmarks(
     results = simulate_batch(design, configs, collect_per_net=True)
     for config, result in zip(configs, results):
         assert result == _solo_reference(design, config)
-
-
-def test_batch_unknown_kernel_rejected():
-    design, vectors = build_mapped("pr")
-    with pytest.raises(SimulationError):
-        simulate_batch(design, [BatchConfig(vectors)], kernel="quantum")
 
 
 def test_batch_empty():
@@ -295,9 +283,8 @@ def test_random_truth_tables_match_reference(specs, lanes, delay_jitter):
     native_result = simulate_design(
         design, vectors, collect_per_net=True, delay_jitter=delay_jitter,
     )
-    reference = simulate_design(
+    reference = simulate_reference(
         design, vectors, collect_per_net=True, delay_jitter=delay_jitter,
-        kernel="reference",
     )
     assert native_result == reference
 
@@ -312,6 +299,6 @@ def test_gate_wider_than_native_takes_fallback():
     assert compile_netlist(design.netlist, 0).native_arrays is None
     with pytest.warns(RuntimeWarning, match=f"a gate has {arity} inputs"):
         result = simulate_design(design, vectors, collect_per_net=True)
-    assert result == simulate_design(
-        design, vectors, collect_per_net=True, kernel="reference"
+    assert result == simulate_reference(
+        design, vectors, collect_per_net=True
     )

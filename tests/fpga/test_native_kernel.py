@@ -26,6 +26,7 @@ from repro.fpga import native, simulate_design
 from repro.fpga import simulate as simulate_mod
 
 from tests.fpga.test_kernel_differential import build_mapped
+from tests.oracles import simulate_reference
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
@@ -45,9 +46,7 @@ def _needs_compiler():
 
 
 def _reference(design, vectors):
-    return simulate_design(
-        design, vectors, collect_per_net=True, kernel="reference"
-    )
+    return simulate_reference(design, vectors, collect_per_net=True)
 
 
 def test_native_path_runs_the_c_kernel(monkeypatch):

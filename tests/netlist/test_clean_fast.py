@@ -192,7 +192,7 @@ _GOLDEN_CLEANED = {
 def cleaned_gate_count(bench_name: str) -> int:
     from repro import benchmark_spec, load_benchmark
     from repro.flow.run import prepare_flow_inputs
-    from repro.fpga.compile import elaborate_design
+    from repro.fpga import elaborate_datapath
     from repro.rtl.datapath import build_datapath
     from repro.flow.pipeline import run_binder
     from repro.scheduling import list_schedule
@@ -204,7 +204,7 @@ def cleaned_gate_count(bench_name: str) -> int:
         "lopass", schedule, spec.constraints, registers, ports
     )
     datapath = build_datapath(solution, 8)
-    return elaborate_design(datapath, "fast").netlist.num_gates()
+    return elaborate_datapath(datapath).netlist.num_gates()
 
 
 class TestGoldenCleanedCounts:

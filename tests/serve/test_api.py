@@ -28,7 +28,7 @@ class TestSingleCellSpec:
             {
                 "benchmark": "chem", "binder": "lopass", "width": 4,
                 "vector_seed": 11, "n_vectors": 32, "delay_jitter": 2,
-                "idle_selects": "hold", "sim_kernel": "reference",
+                "idle_selects": "hold",
             },
             "full",
         )
@@ -36,7 +36,6 @@ class TestSingleCellSpec:
         assert job.vector_seed == 11
         assert job.delay_jitter == 2
         assert job.idle_selects == "hold"
-        assert job.sim_kernel == "reference"
         assert spec.n_vectors == 32
 
     def test_estimate_rejects_simulation_fields(self):
@@ -48,6 +47,18 @@ class TestSingleCellSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(RequestError):
             single_cell_spec({"benchmark": "pr", "bencmark": "pr"}, "full")
+
+    @pytest.mark.parametrize("flow", ["full", "estimate"])
+    @pytest.mark.parametrize("field", ["sim_kernel", "bind_engine"])
+    def test_retired_engine_field_rejected(self, flow, field):
+        with pytest.raises(RequestError, match=field):
+            single_cell_spec({"benchmark": "pr", field: "reference"}, flow)
+
+    def test_reference_map_effort_rejected(self):
+        with pytest.raises(RequestError, match="exhaustive"):
+            single_cell_spec(
+                {"benchmark": "pr", "map_effort": "reference"}, "full"
+            )
 
     def test_missing_benchmark_rejected(self):
         with pytest.raises(RequestError):

@@ -158,6 +158,28 @@ class TestSingleCellEndpoints:
         assert badjson[0] == 200 or badjson[0] == 400  # empty body = {}
         assert b"benchmark" in missing[2]
 
+    @pytest.mark.parametrize("path,field", [
+        ("/flow", "sim_kernel"),
+        ("/flow", "bind_engine"),
+        ("/estimate", "bind_engine"),
+        ("/estimate", "elab_engine"),
+        ("/sweep", "sim_kernels"),
+        ("/sweep", "bind_engines"),
+        ("/sweep", "elab_engine"),
+    ])
+    def test_retired_engine_fields_are_400(self, path, field):
+        body = {"benchmark": "pr", field: "reference"}
+        if path == "/sweep":
+            body = {"spec": {"benchmarks": ["pr"], field: ["reference"]}}
+
+        async def scenario(server):
+            return await http_request(server.port, "POST", path, body)
+
+        status, _, payload = run_scenario(scenario)
+        assert status == 400
+        assert field.encode() in payload
+        assert b"accepted" in payload
+
     def test_unroutable_requests(self):
         async def scenario(server):
             not_found = await http_request(server.port, "GET", "/nope")

@@ -2,7 +2,7 @@
 
 ``effort="fast"`` must be a pure speedup — byte-identical covers, SA
 accounting and downstream flow measurements versus the seed mapper
-kept behind ``effort="reference"``. The full benchmark x K x cut-cap
+(``tests.oracles.map_reference``). The full benchmark x K x cut-cap
 cross-product is slow-marked; a small smoke subset stays in tier-1 so
 every push checks the contract.
 """
@@ -15,6 +15,7 @@ from repro.flow.run import FlowConfig, build_pipeline, run_flow
 from repro.scheduling import list_schedule
 from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
+from tests.oracles import map_reference, oracle_engines
 
 _DESIGNS = {}
 
@@ -62,9 +63,8 @@ def assert_identical(reference, fast):
 
 def run_pair(benchmark: str, width: int, k: int, cut_cap: int):
     netlist, activities = elaborated(benchmark, width)
-    reference = map_netlist(
+    reference = map_reference(
         netlist, k=k, cut_cap=cut_cap, input_activities=activities,
-        effort="reference",
     )
     fast = map_netlist(
         netlist, k=k, cut_cap=cut_cap, input_activities=activities,
@@ -101,9 +101,7 @@ class TestSmoke:
             cone_memo=memo,
         )
         assert_identical(first, warm)
-        reference = map_netlist(
-            netlist, input_activities=activities, effort="reference",
-        )
+        reference = map_reference(netlist, input_activities=activities)
         assert_identical(reference, warm)
 
     def test_wide_cone_refusal_matches_reference(self):
@@ -118,15 +116,14 @@ class TestSmoke:
         y = netlist.add_simple(GateType.AND, inputs, "y")
         netlist.set_output(y)
         with pytest.raises(EstimationError):
-            map_netlist(netlist, k=7, effort="reference")
+            map_reference(netlist, k=7)
         with pytest.raises(EstimationError):
             map_netlist(netlist, k=7, effort="fast")
 
     def test_glitch_blind_identical(self):
         netlist, activities = elaborated("pr", 4)
-        reference = map_netlist(
+        reference = map_reference(
             netlist, input_activities=activities, glitch_aware=False,
-            effort="reference",
         )
         fast = map_netlist(
             netlist, input_activities=activities, glitch_aware=False,
@@ -138,10 +135,11 @@ class TestSmoke:
         """Downstream FlowResults agree metric for metric."""
         spec = benchmark_spec("wang")
         schedule = list_schedule(load_benchmark("wang"), spec.constraints)
-        results = {}
-        for effort in ("fast", "reference"):
-            config = FlowConfig(width=4, n_vectors=64, map_effort=effort)
-            results[effort] = run_flow(
+        config = FlowConfig(width=4, n_vectors=64)
+        results = {"fast": run_flow(schedule, spec.constraints, "lopass",
+                                    config)}
+        with oracle_engines("techmap"):
+            results["reference"] = run_flow(
                 schedule, spec.constraints, "lopass", config
             )
         fast, reference = results["fast"], results["reference"]
@@ -171,10 +169,11 @@ class TestFullFlowDifferential:
         schedule = list_schedule(
             load_benchmark(bench_name), spec.constraints
         )
-        results = {}
-        for effort in ("fast", "reference"):
-            config = FlowConfig(width=4, n_vectors=64, map_effort=effort)
-            results[effort] = run_flow(
+        config = FlowConfig(width=4, n_vectors=64)
+        results = {"fast": run_flow(schedule, spec.constraints, "lopass",
+                                    config)}
+        with oracle_engines("techmap"):
+            results["reference"] = run_flow(
                 schedule, spec.constraints, "lopass", config
             )
         assert results["fast"].metrics() == results["reference"].metrics()

@@ -1,7 +1,7 @@
 """Cross-subcommand consistency of the shared CLI flags.
 
-``--sa-table``, ``--jobs``, ``--map-effort``, ``--bind-engine`` and
-``--elab-engine`` appear on several subcommands; they are declared once in shared
+``--sa-table``, ``--jobs``, ``--map-effort`` and the MCTS knobs
+appear on several subcommands; they are declared once in shared
 helpers (see :mod:`repro.cli`), and these tests pin that a subcommand
 cannot silently drift to different defaults or accept values its
 siblings reject.
@@ -11,10 +11,8 @@ import argparse
 
 import pytest
 
-from repro.binding import BIND_ENGINES
-from repro.cli import SIM_KERNELS, build_parser
+from repro.cli import build_parser
 from repro.flow import SweepSpec
-from repro.fpga import ELAB_ENGINES
 from repro.techmap import MAP_EFFORTS
 
 #: Subcommands carrying each shared flag.
@@ -23,8 +21,6 @@ SHARED_FLAGS = {
                    "serve"),
     "--jobs": ("bench", "suite", "sweep", "estimate", "corpus", "serve"),
     "--map-effort": ("bench", "suite", "sweep", "estimate", "corpus"),
-    "--bind-engine": ("bench", "suite", "sweep", "estimate", "corpus"),
-    "--elab-engine": ("bench", "suite", "sweep", "estimate", "corpus"),
     "--mcts-budget": ("bench", "suite", "sweep", "estimate", "corpus",
                       "synth"),
     "--mcts-seed": ("bench", "suite", "sweep", "estimate", "corpus",
@@ -66,8 +62,7 @@ def test_flag_present_with_identical_default(commands, flag):
 
 @pytest.mark.parametrize(
     "flag, choices",
-    [("--map-effort", MAP_EFFORTS), ("--bind-engine", BIND_ENGINES),
-     ("--elab-engine", ELAB_ENGINES)],
+    [("--map-effort", MAP_EFFORTS)],
 )
 def test_choice_flags_share_vocabulary(commands, flag, choices):
     for name in SHARED_FLAGS[flag]:
@@ -84,19 +79,28 @@ def test_choice_flags_share_vocabulary(commands, flag, choices):
             assert tuple(action.choices) == tuple(choices)
 
 
-def test_sim_kernel_axis_on_sweep(commands):
-    action = _flag_action(commands["sweep"], "--sim-kernel")
-    assert action.default == "event"
-    assert action.type(",".join(SIM_KERNELS)) == list(SIM_KERNELS)
+@pytest.mark.parametrize("flag", ["--sim-kernel", "--bind-engine",
+                                  "--elab-engine"])
+@pytest.mark.parametrize("command", ["bench", "suite", "sweep", "estimate",
+                                     "corpus", "serve", "synth"])
+def test_retired_engine_flags_rejected(command, flag):
+    argv = [command] + (["pr"] if command in ("bench", "synth") else [])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + [flag, "reference"])
+
+
+def test_reference_map_effort_rejected(commands):
     with pytest.raises(argparse.ArgumentTypeError):
-        action.type("quantum")
+        _flag_action(commands["sweep"], "--map-effort").type("reference")
+    assert "reference" not in _flag_action(
+        commands["estimate"], "--map-effort"
+    ).choices
 
 
 def test_axis_defaults_parse_to_single_value(commands):
     # argparse runs string defaults through `type`, so the default of
     # an axis flag must itself be a valid axis.
-    for flag in ("--sim-kernel", "--map-effort", "--bind-engine",
-                 "--elab-engine"):
+    for flag in ("--map-effort",):
         action = _flag_action(commands["sweep"], flag)
         assert action.type(action.default) == [action.default]
 
@@ -130,7 +134,4 @@ def test_parsed_namespaces_agree():
     assert sweep.jobs == estimate.jobs == corpus.jobs == bench.jobs == 1
     # Axis flags resolve to one-element lists of the scalar default.
     assert sweep.map_effort == [estimate.map_effort] == [bench.map_effort]
-    assert sweep.bind_engine == [estimate.bind_engine] == [corpus.bind_engine]
-    assert sweep.elab_engine == [estimate.elab_engine] == [corpus.elab_engine]
-    assert sweep.sim_kernel == ["event"]
     assert sweep.sim_batch == SweepSpec.sim_batch
