@@ -15,9 +15,9 @@ Scaling knobs (environment variables):
   256; the paper uses 1000, which quadruples runtime and does not move
   the aggregate numbers by more than a point).
 
-The SA table is persisted to ``data/sa_table.txt`` (the paper's "text
-file ... read in when HLPower is initially run"), so repeated bench
-runs skip the precalculation.
+The SA table is read from ``data/sa_table.txt`` (the paper's "text
+file ... read in when HLPower is initially run"); the benches never
+write it.
 """
 
 from __future__ import annotations
@@ -79,9 +79,7 @@ class SuiteResults:
 
 @pytest.fixture(scope="session")
 def sa_table() -> SATable:
-    table = SATable(path=_TABLE_PATH)
-    yield table
-    table.save_if_dirty()
+    return SATable(path=_TABLE_PATH)
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +100,6 @@ def suite(sa_table) -> SuiteResults:
         n_vectors=vectors,
     )
     sweep = run_sweep(spec, jobs=1, sa_table=sa_table, keep_results=True)
-    sa_table.save_if_dirty()
     results = {
         (name, config): sweep.result_of(name, config)
         for name in bench_names()

@@ -13,7 +13,7 @@ from repro import FlowConfig, benchmark_spec, list_schedule, load_benchmark
 from repro.activity import estimate_switching_activity
 from repro.flow import format_table, run_flow
 from repro.netlist.library import build_partial_datapath
-from repro.netlist.transform import clean
+from repro.netlist.compile import clean_fast
 
 from benchmarks.conftest import bench_names, bench_width, write_result
 
@@ -23,7 +23,7 @@ def partial_datapath_deltas():
     for fu_class in ("add", "mult"):
         for sizes in ((1, 1), (3, 3), (6, 6), (2, 8)):
             netlist = build_partial_datapath(fu_class, *sizes, 4)
-            clean(netlist)
+            clean_fast(netlist)
             aware = estimate_switching_activity(netlist, glitch_aware=True)
             blind = estimate_switching_activity(netlist, glitch_aware=False)
             rows.append(

@@ -19,7 +19,7 @@ from repro.binding import (
 )
 from repro.fpga import elaborate_datapath, random_vectors, simulate_design
 from repro.netlist.library import build_partial_datapath
-from repro.netlist.transform import clean
+from repro.netlist.compile import clean_fast
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
 
@@ -80,14 +80,14 @@ def test_perf_register_binding(benchmark, honda_schedule):
 
 def test_perf_glitch_estimator(benchmark):
     netlist = build_partial_datapath("mult", 4, 4, 4)
-    clean(netlist)
+    clean_fast(netlist)
     report = benchmark(estimate_switching_activity, netlist)
     assert report.total > 0
 
 
 def test_perf_mapper(benchmark):
     netlist = build_partial_datapath("mult", 3, 3, 6)
-    clean(netlist)
+    clean_fast(netlist)
     result = benchmark(map_netlist, netlist)
     assert result.area > 0
 

@@ -40,7 +40,6 @@ def main() -> None:
             schedule, spec.constraints, "hlpower", config, registers, ports
         )
         results.append((alpha, result))
-    table.save_if_dirty()
 
     peak = max(r.power.dynamic_power_mw for _, r in results)
     print(f"{'alpha':>5s}  {'power mW':>8s}  {'muxDiff':>7s}  "

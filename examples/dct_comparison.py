@@ -43,7 +43,6 @@ def main() -> None:
     table = SATable(path="data/sa_table.txt")
     config = FlowConfig(width=width, n_vectors=256, sa_table=table)
     results = compare_binders(schedule, spec.constraints, config)
-    table.save_if_dirty()
 
     lo, hl = results["lopass"], results["hlpower"]
     rows = []

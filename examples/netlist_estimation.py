@@ -13,7 +13,7 @@ Run:  python examples/netlist_estimation.py
 from repro.activity import estimate_switching_activity
 from repro.netlist import build_partial_datapath
 from repro.netlist.blif import blif_text
-from repro.netlist.transform import clean
+from repro.netlist.compile import clean_fast
 from repro.techmap import map_netlist
 
 
@@ -21,7 +21,7 @@ def main() -> None:
     # Figure 2: a 2-input and a 3-input mux feeding a 4-bit multiplier.
     netlist = build_partial_datapath("mult", 2, 3, width=4)
     print(f"built {netlist}")
-    folded, buffers, dead = clean(netlist)
+    folded, buffers, dead = clean_fast(netlist)
     print(
         f"cleaned: {folded} constants folded, {buffers} buffers, "
         f"{dead} dead gates -> {netlist.num_gates()} gates"

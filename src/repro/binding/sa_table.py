@@ -6,11 +6,17 @@ SA values are then stored in a text file. A hash table is then
 generated when HLPower is initially run by reading in the precalculated
 values from the text file."
 
-:class:`SATable` reproduces exactly that: a lazy, persistent lookup of
-the glitch-aware estimated SA of the Figure-2 partial datapath — two
-input multiplexers feeding one functional unit — keyed by
-``(fu_class, mux_a_size, mux_b_size)``. Values are symmetric under
-port swap, so keys are normalized to ``mux_a <= mux_b``.
+:class:`SATable` reproduces exactly that: the glitch-aware estimated SA
+of the Figure-2 partial datapath — two input multiplexers feeding one
+functional unit — keyed by ``(fu_class, mux_a_size, mux_b_size)``.
+Values are symmetric under port swap, so keys are normalized to
+``mux_a <= mux_b``. A table optionally starts from the text file (read
+once, never written back) and computes any missing key on demand,
+keeping it in memory only. Each value is a pure function of
+:class:`SATableConfig` and its key, so which entries a table holds
+never changes a binding. :meth:`SATable.precalculate` plus
+:meth:`SATable.save` are the paper's offline step that regenerates
+``data/sa_table.txt``.
 
 By default the estimate runs on the cleaned gate-level netlist; with
 ``map_to_luts=True`` the partial datapath is first mapped to K-LUTs by
@@ -23,15 +29,16 @@ mirroring the paper's precalc-vs-dynamic equivalence claim.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, TextIO, Tuple
+from typing import Dict, Iterable, Optional, TextIO, Tuple
 
 from repro.errors import BindingError
 from repro.activity import estimate_switching_activity
+from repro.netlist.compile import clean_fast as clean
 from repro.netlist.library import FU_TYPES, build_partial_datapath
-from repro.netlist.transform import clean
 from repro.techmap import map_netlist
 
 Key = Tuple[str, int, int]
@@ -53,7 +60,8 @@ class SATableConfig:
 
 
 class SATable:
-    """Lazy, optionally file-backed SA lookup for partial datapaths."""
+    """SA lookup for partial datapaths: a read-only file seed plus an
+    in-memory cache filled on demand."""
 
     def __init__(
         self,
@@ -63,10 +71,9 @@ class SATable:
         self.config = config or SATableConfig()
         self.path = path
         self._values: Dict[Key, float] = {}
-        self._dirty = False
         if path is not None and os.path.exists(path):
             with open(path) as handle:
-                self._read(handle)
+                self._read(handle, path)
 
     # -- lookup -----------------------------------------------------------
 
@@ -88,7 +95,6 @@ class SATable:
         if value is None:
             value = self._estimate(key)
             self._values[key] = value
-            self._dirty = True
         return value
 
     def __len__(self) -> int:
@@ -141,31 +147,8 @@ class SATable:
                     key = self.normalize(fu_class, mux_a, mux_b)
                     if key not in self._values:
                         self._values[key] = self._estimate(key)
-                        self._dirty = True
                         computed += 1
         return computed
-
-    # -- sharing ----------------------------------------------------------
-
-    def snapshot(self) -> Dict[Key, float]:
-        """Copy of the cached values (for shipping to sweep workers)."""
-        return dict(self._values)
-
-    def merge(self, values: Mapping[Key, float]) -> int:
-        """Absorb entries computed elsewhere (e.g. by a sweep worker).
-
-        Only keys not already cached are taken, so a worker's copy can
-        never overwrite the parent's values. Returns the number of new
-        entries (the table is marked dirty if any were added).
-        """
-        added = 0
-        for key, value in values.items():
-            if key not in self._values:
-                self._values[key] = value
-                added += 1
-        if added:
-            self._dirty = True
-        return added
 
     # -- persistence ------------------------------------------------------
 
@@ -174,12 +157,11 @@ class SATable:
     def save(self, path: Optional[str] = None) -> None:
         """Write the table as the paper's text file.
 
-        The write is atomic: content goes to a uniquely-named temp file
-        in the target directory and is moved into place with
-        :func:`os.replace`, so a concurrent reader (or another saver —
-        e.g. parallel sweep workers) can never observe a torn file.
-        Last writer wins; the sweep engine funnels all saves through
-        the parent process so nothing is lost.
+        Only the offline precalculation step calls this; no flow writes
+        a table. The write is atomic: content goes to a uniquely-named
+        temp file in the target directory and is moved into place with
+        :func:`os.replace`, so a concurrent reader (or another saver)
+        can never observe a torn file. Last writer wins.
         """
         target = path or self.path
         if target is None:
@@ -217,26 +199,41 @@ class SATable:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
-        self._dirty = False
 
-    def save_if_dirty(self) -> None:
-        if self._dirty and self.path is not None:
-            self.save()
-
-    def _read(self, handle: TextIO) -> None:
-        for line in handle:
+    def _read(self, handle: TextIO, path: str) -> None:
+        config = self.config
+        wanted = (config.width, config.k, config.map_to_luts,
+                  config.glitch_aware)
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise BindingError(f"malformed SA table line: {line!r}")
-            fu_class, mux_a, mux_b, width, k, mapped, glitch, value = parts
-            if (
-                int(width) != self.config.width
-                or int(k) != self.config.k
-                or bool(int(mapped)) != self.config.map_to_luts
-                or bool(int(glitch)) != self.config.glitch_aware
-            ):
-                continue  # entry from a different configuration
-            self._values[(fu_class, int(mux_a), int(mux_b))] = float(value)
+            try:
+                key, settings, value = self._parse(line)
+            except (BindingError, ValueError) as exc:
+                raise BindingError(
+                    f"malformed SA table line {path}:{number}: {exc} "
+                    f"({line!r})"
+                ) from None
+            if settings == wanted:  # else: another configuration's entry
+                self._values[key] = value
+
+    @classmethod
+    def _parse(cls, line: str) -> Tuple[Key, Tuple[int, int, bool, bool],
+                                        float]:
+        parts = line.split()
+        if len(parts) != 8:
+            raise BindingError(f"expected 8 fields, got {len(parts)}")
+        fu_class, raw_value = parts[0], parts[7]
+        mux_a, mux_b, width, k, mapped, glitch = map(int, parts[1:7])
+        value = float(raw_value)
+        if not math.isfinite(value) or value < 0:
+            raise BindingError(
+                f"SA value must be finite and >= 0, got {raw_value}"
+            )
+        key = cls.normalize(fu_class, mux_a, mux_b)
+        if mux_a > mux_b:
+            raise BindingError(
+                f"key not normalized: mux_a {mux_a} > mux_b {mux_b}"
+            )
+        return key, (width, k, bool(mapped), bool(glitch)), value

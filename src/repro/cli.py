@@ -25,7 +25,7 @@ Commands:
 thin wrappers over the same sweep engine (:mod:`repro.flow.batch` /
 :mod:`repro.flow.executor`), so they share one execution path, one
 elaboration memo, one pipeline artifact cache per worker, and one
-SA-table lifecycle.
+SA table read from ``--sa-table`` (never written back).
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def _axis_type(choices: Sequence[str], flag: str):
 
 def _add_sa_table_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sa-table", default="data/sa_table.txt",
-                        help="persistent SA table path")
+                        help="precalculated SA table file, read at start "
+                             "and never written")
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -166,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs worker processes (1 = in-process), and print/save "
             "per-cell metrics with seed-averaged aggregates. Schedules "
             "and register/port bindings are elaborated once per "
-            "benchmark and shared; the SA table is precalculated and "
-            "shipped to every worker, then saved once."
+            "benchmark and shared; the precalculated SA table is read "
+            "once and shipped to every worker."
         ),
     )
     sweep.add_argument(
@@ -202,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", metavar="FILE",
                        help="write the JSON result store here")
     _add_sa_table_arg(sweep)
-    sweep.add_argument(
-        "--precalc-mux", type=int, default=0, metavar="N",
-        help="bulk-precalculate SA entries up to NxN muxes before "
-             "dispatch (default 0 = lazy)")
     sweep.add_argument("--baseline", default="lopass",
                        help="binder label (or name) percent changes compare "
                             "against; 'none' disables the column "
@@ -312,10 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "tech-map; 'full' simulates every instance")
     _add_map_effort_arg(corpus)
     _add_mcts_args(corpus)
-    corpus.add_argument("--profile", action="store_true",
-                        help="print per-stage wall clock and peak memory "
-                             "for every instance instead of the sweep "
-                             "summary (runs in-process)")
     corpus.add_argument("--no-oracle", action="store_true",
                         help="skip the exact-binder quality-gap report")
     _add_sa_table_arg(corpus)
@@ -436,7 +429,7 @@ def _comma_list(raw: str, cast, flag: str) -> List:
         )
 
 
-def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
+def _bench_rows(names: Sequence[str], args) -> List[List[str]]:
     spec = SweepSpec(
         benchmarks=list(names),
         configs=[
@@ -449,7 +442,8 @@ def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
         mcts_budget=args.mcts_budget,
         mcts_seed=args.mcts_seed,
     )
-    sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
+    sweep = run_sweep(spec, jobs=args.jobs,
+                      sa_table=SATable(path=args.sa_table))
     rows = []
     deltas = []
     for name in names:
@@ -477,12 +471,10 @@ def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
 
 
 def cmd_bench(args) -> int:
-    table = SATable(path=args.sa_table)
     try:
-        rows = _bench_rows([args.name], args, table)
+        rows = _bench_rows([args.name], args)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
     print(format_table(
         ["bench", "LOPASS mW", "HLPower mW", "dPower", "LUTs", "lrg mux"],
         rows,
@@ -491,12 +483,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    table = SATable(path=args.sa_table)
     try:
-        rows = _bench_rows(list(BENCHMARK_NAMES), args, table)
+        rows = _bench_rows(list(BENCHMARK_NAMES), args)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
     print(format_table(
         ["bench", "LOPASS mW", "HLPower mW", "dPower", "LUTs", "lrg mux"],
         rows,
@@ -537,19 +527,16 @@ def cmd_sweep(args) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
     try:
         sweep = run_sweep(
             spec,
             jobs=args.jobs,
-            sa_table=table,
-            precalc_max_mux=args.precalc_mux,
+            sa_table=SATable(path=args.sa_table),
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
     print(format_sweep_summary(sweep))
     if args.out:
         sweep.save(args.out)
@@ -575,12 +562,11 @@ def cmd_estimate(args) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
     try:
-        sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
+        sweep = run_sweep(spec, jobs=args.jobs,
+                          sa_table=SATable(path=args.sa_table))
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
     print(format_sweep_summary(sweep))
     if args.out:
         sweep.save(args.out)
@@ -646,86 +632,6 @@ def _oracle_rows(sweep, instances, configs) -> List[List[str]]:
     return rows
 
 
-def _corpus_profile(args, instances) -> int:
-    """``corpus --profile``: per-instance stage wall clock + peak memory.
-
-    Runs each (instance, binder, alpha) flow in-process so the
-    per-stage timings the pipeline already records
-    (:attr:`FlowResult.stage_timings`) can be paired with a
-    ``tracemalloc`` peak bracketed around that one flow — no extra
-    instrumentation inside the pipeline.
-    """
-    import tracemalloc
-
-    from repro.flow.report import _STAGE_ORDER
-    from repro.flow.run import FlowConfig, execute_flow, prepare_flow_inputs
-    from repro.scheduling import list_schedule
-
-    binders = _comma_list(args.binders, str, "--binders")
-    alphas = _comma_list(args.alphas, float, "--alphas")
-    table = SATable(path=args.sa_table)
-    records = []
-    tracemalloc.start()
-    try:
-        for instance in instances:
-            schedule = list_schedule(
-                load_benchmark(instance.name), instance.constraints
-            )
-            registers, ports = prepare_flow_inputs(schedule)
-            for binder in binders:
-                for alpha in alphas:
-                    config = FlowConfig(
-                        width=args.width,
-                        alpha=alpha,
-                        sa_table=table,
-                        map_effort=args.map_effort,
-                        flow=args.flow,
-                        mcts_budget=args.mcts_budget,
-                        mcts_seed=args.mcts_seed,
-                    )
-                    tracemalloc.reset_peak()
-                    result = execute_flow(
-                        schedule, instance.constraints, binder, config,
-                        registers, ports,
-                    )
-                    _, peak = tracemalloc.get_traced_memory()
-                    label = (
-                        binder if len(alphas) == 1
-                        else f"{binder}_a{alpha:g}"
-                    )
-                    records.append(
-                        (instance.name, label,
-                         dict(result.stage_timings), peak)
-                    )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    finally:
-        tracemalloc.stop()
-    table.save_if_dirty()
-    rank = {stage: index for index, stage in enumerate(_STAGE_ORDER)}
-    stages = sorted(
-        {stage for _, _, timings, _ in records for stage in timings},
-        key=lambda stage: (rank.get(stage, len(rank)), stage),
-    )
-    rows = []
-    for name, label, timings, peak in records:
-        rows.append(
-            [name, label]
-            + [f"{timings.get(stage, 0.0):.3f}" for stage in stages]
-            + [f"{sum(timings.values()):.3f}", f"{peak / 2**20:.1f}"]
-        )
-    print(format_table(
-        ["instance", "config"] + [f"{stage} s" for stage in stages]
-        + ["total s", "peak MiB"],
-        rows,
-        title=(
-            f"corpus profile: {len(records)} flows "
-            f"({args.flow}, {args.map_effort} map)"
-        ),
-    ))
-    return 0
-
-
 def cmd_corpus(args) -> int:
     instances = _corpus_selection(args)
     if not instances:
@@ -748,9 +654,6 @@ def cmd_corpus(args) -> int:
         ))
         return 0
 
-    if args.profile:
-        return _corpus_profile(args, instances)
-
     binders = _comma_list(args.binders, str, "--binders")
     try:
         # SweepSpec validates binder names eagerly at construction.
@@ -767,12 +670,11 @@ def cmd_corpus(args) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
     try:
-        sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
+        sweep = run_sweep(spec, jobs=args.jobs,
+                          sa_table=SATable(path=args.sa_table))
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
     print(format_sweep_summary(sweep))
     if not args.no_oracle:
         configs = [config.label for config in spec.binder_configs()]

@@ -10,8 +10,8 @@ shape across three layers:
   :class:`SweepCell`), re-exported here for compatibility;
 * :mod:`repro.flow.executor` — the resident execution layer: a
   :class:`~repro.flow.executor.FlowExecutor` owns the warm per-worker
-  state (elaboration memo, artifact cache, SA-table snapshot, process
-  pool) and survives across submissions;
+  state (elaboration memo, artifact cache, SA table, process pool)
+  and survives across submissions;
 * this module — :func:`run_sweep`, a thin client that expands a spec,
   submits it to an executor, and collects the per-cell records into a
   JSON-serializable :class:`SweepResult`.
@@ -68,8 +68,6 @@ class SweepResult:
     wall_s: float
     schedule_cache_hits: int
     schedule_cache_misses: int
-    sa_precalc_entries: int
-    sa_new_entries: int
     #: Pipeline-stage cache traffic summed over all cells.
     stage_cache_hits: int = 0
     stage_cache_misses: int = 0
@@ -241,8 +239,6 @@ class SweepResult:
             "wall_s": self.wall_s,
             "schedule_cache_hits": self.schedule_cache_hits,
             "schedule_cache_misses": self.schedule_cache_misses,
-            "sa_precalc_entries": self.sa_precalc_entries,
-            "sa_new_entries": self.sa_new_entries,
             "stage_cache_hits": self.stage_cache_hits,
             "stage_cache_misses": self.stage_cache_misses,
             "sim_batches": self.sim_batches,
@@ -265,8 +261,6 @@ class SweepResult:
             wall_s=data["wall_s"],
             schedule_cache_hits=data["schedule_cache_hits"],
             schedule_cache_misses=data["schedule_cache_misses"],
-            sa_precalc_entries=data["sa_precalc_entries"],
-            sa_new_entries=data["sa_new_entries"],
             stage_cache_hits=data.get("stage_cache_hits", 0),
             stage_cache_misses=data.get("stage_cache_misses", 0),
             sim_batches=data.get("sim_batches", 0),
@@ -297,7 +291,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     sa_table: Optional[SATable] = None,
-    precalc_max_mux: int = 0,
     keep_results: bool = False,
     progress: Optional[Callable[[SweepCell], None]] = None,
     use_cache: bool = True,
@@ -311,11 +304,10 @@ def run_sweep(
     what the tests and bench fixtures use); ``jobs>1`` fans out over a
     process pool. Per-cell ``metrics`` are identical either way.
 
-    ``sa_table`` is the shared Section 5.2.2 table; pass a file-backed
-    one to persist across sweeps (the caller saves it — typically via
-    ``save_if_dirty()`` — exactly once, after the sweep). With
-    ``precalc_max_mux > 0`` the table is bulk-filled up to that mux
-    size before any job runs, so workers start fully warm.
+    ``sa_table`` is the shared Section 5.2.2 table (a fresh empty one
+    by default); pass one loaded from the precalculated file to start
+    warm. Every worker fills missing keys in its own memory; nothing is
+    written back.
 
     ``use_cache`` controls the per-worker pipeline artifact cache
     (``cache_entries`` bounds it; ``cache_dir`` adds a persistent
@@ -372,10 +364,6 @@ def run_sweep(
             cache_dir=cache_dir,
         )
         executor = transient
-    table = executor.sa_table
-    precalc_entries = (
-        table.precalculate(precalc_max_mux) if precalc_max_mux > 0 else 0
-    )
 
     try:
         submission = executor.run_jobs(
@@ -396,8 +384,6 @@ def run_sweep(
         wall_s=time.perf_counter() - started,
         schedule_cache_hits=hits,
         schedule_cache_misses=len(cells) - hits,
-        sa_precalc_entries=precalc_entries,
-        sa_new_entries=submission.sa_new_entries,
         stage_cache_hits=stage_hits,
         stage_cache_misses=stage_total - stage_hits,
         sim_batches=submission.sim_batches,

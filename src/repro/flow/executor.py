@@ -4,7 +4,7 @@ This module owns *where flow state lives*: a :class:`FlowExecutor` is a
 long-lived execution engine whose per-worker warm state — the
 elaboration memo, the pipeline artifact cache (and through it the
 cross-cell ConeMemo / BindMemo / golden-output memos that live inside
-cached stage artifacts), and the SA-table snapshot — survives across
+cached stage artifacts), and the SA table — survives across
 submissions instead of dying with each :func:`~repro.flow.batch.run_sweep`
 call. ``run_sweep`` is a thin client that spins up a transient executor
 per call (preserving the historical fresh-state semantics); the
@@ -69,10 +69,9 @@ class _WorkerPayload:
 
 
 def _fresh_state(payload: _WorkerPayload) -> Dict[str, Any]:
-    """One worker's warm state: memos + artifact cache + SA snapshot."""
+    """One worker's warm state: memos + artifact cache + SA table."""
     return {
         "sa_table": payload.sa_table,
-        "sa_known": set(payload.sa_table.snapshot()),
         "memo": {},
         "prefetch_misses": set(),
         "cache": (
@@ -175,7 +174,7 @@ def _load_design(state: Dict[str, Any], name: str, text: str):
 
 
 def _execute_design(state: Dict[str, Any], job: SweepJob,
-                    spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
+                    spec: SweepSpec) -> Tuple[SweepCell, Any]:
     """Run one external-design job (estimate flow, no schedule/binder)."""
     from repro.ingest import run_design_estimate
 
@@ -192,18 +191,17 @@ def _execute_design(state: Dict[str, Any], job: SweepJob,
         metrics=result.metrics(),
         runtime_s=result.runtime_s,
         schedule_cache_hit=hit,
-        sa_new_entries=0,
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
         map_effort=job.map_effort,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
     )
-    return cell, result, {}
+    return cell, result
 
 
 def _execute(state: Dict[str, Any], job: SweepJob,
-             spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
+             spec: SweepSpec) -> Tuple[SweepCell, Any]:
     """Run one job against a worker's shared state."""
     if job.design is not None:
         return _execute_design(state, job, spec)
@@ -216,13 +214,6 @@ def _execute(state: Dict[str, Any], job: SweepJob,
         schedule, constraints, job.config.binder, config, registers, ports,
         cache=state["cache"],
     )
-    known: set = state["sa_known"]
-    new_entries = {
-        key: value
-        for key, value in table.snapshot().items()
-        if key not in known
-    }
-    known.update(new_entries)
     cell = SweepCell(
         benchmark=job.benchmark,
         config=job.config.label,
@@ -233,14 +224,13 @@ def _execute(state: Dict[str, Any], job: SweepJob,
         metrics=result.metrics(),
         runtime_s=result.runtime_s,
         schedule_cache_hit=hit,
-        sa_new_entries=len(new_entries),
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
         map_effort=job.map_effort,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
     )
-    return cell, result, new_entries
+    return cell, result
 
 
 def _batch_key(job: SweepJob, spec: SweepSpec) -> Optional[Tuple]:
@@ -313,7 +303,7 @@ def _run_chunk(
     spec: SweepSpec,
     keep_results: bool = False,
     progress: Optional[Callable[[SweepCell], None]] = None,
-) -> Tuple[List[Tuple[SweepCell, Any, Dict[Any, float]]], Dict[str, Any]]:
+) -> Tuple[List[Tuple[SweepCell, Any]], Dict[str, Any]]:
     """Batched prefetch + per-job flows for one chunk of jobs.
 
     Alongside the batching stats the returned dict carries a
@@ -326,11 +316,11 @@ def _run_chunk(
     annotations, stats = _prefetch_batches(state, chunk, spec)
     out = []
     for job in chunk:
-        cell, result, new_entries = _execute(state, job, spec)
+        cell, result = _execute(state, job, spec)
         note = annotations.get(job.index)
         if note is not None:
             cell.sim_batch, cell.sim_batch_s = note
-        out.append((cell, result if keep_results else None, new_entries))
+        out.append((cell, result if keep_results else None))
         if progress is not None:
             progress(cell)
     stats["cache"] = (
@@ -342,14 +332,11 @@ def _run_chunk(
 
 def _execute_chunk_remote(
     work: Tuple[SweepSpec, List[SweepJob]],
-) -> Tuple[List[Tuple[SweepCell, Dict[Any, float]]], Dict[str, Any]]:
+) -> Tuple[List[SweepCell], Dict[str, Any]]:
     """Pool entry point: drop the heavyweight FlowResults before pickling."""
     spec, chunk = work
     executed, stats = _run_chunk(_WORKER, chunk, spec)
-    return (
-        [(cell, new_entries) for cell, _, new_entries in executed],
-        stats,
-    )
+    return [cell for cell, _ in executed], stats
 
 
 @dataclass
@@ -361,7 +348,6 @@ class ExecutorStats:
     chunks: int = 0
     schedule_cache_hits: int = 0
     schedule_cache_misses: int = 0
-    sa_new_entries: int = 0
     sim_batches: int = 0
     sim_batched_cells: int = 0
     sim_batch_wall_s: float = 0.0
@@ -377,7 +363,6 @@ class ExecutorStats:
             "chunks": self.chunks,
             "schedule_cache_hits": self.schedule_cache_hits,
             "schedule_cache_misses": self.schedule_cache_misses,
-            "sa_new_entries": self.sa_new_entries,
             "sim_batches": self.sim_batches,
             "sim_batched_cells": self.sim_batched_cells,
             "sim_batch_wall_s": self.sim_batch_wall_s,
@@ -393,7 +378,6 @@ class Submission:
     cells: List[SweepCell]
     #: Full FlowResults keyed by cell key (only with keep_results).
     results: Dict[Tuple, Any]
-    sa_new_entries: int
     sim_batches: int
     sim_batched_cells: int
     sim_batch_wall_s: float
@@ -520,7 +504,6 @@ class FlowExecutor:
             self.start()
             cells: List[SweepCell] = []
             results: Dict[Tuple, Any] = {}
-            sa_new_total = 0
             batch_stats: Dict[str, Any] = {
                 "batches": 0, "batched_cells": 0, "batch_wall_s": 0.0,
             }
@@ -537,8 +520,7 @@ class FlowExecutor:
                 for key in batch_stats:
                     batch_stats[key] += stats[key]
                 cache_delta.merge(stats["cache"])
-                for cell, result, new_entries in executed:
-                    sa_new_total += len(new_entries)
+                for cell, result in executed:
                     cells.append(cell)
                     if keep_results:
                         results[cell.key] = result
@@ -555,15 +537,13 @@ class FlowExecutor:
                     for start in range(0, len(job_list), chunksize)
                 ]
                 n_chunks = len(chunks)
-                table = self.sa_table
                 for executed, stats in self._pool.map(
                     _execute_chunk_remote, chunks, chunksize=1
                 ):
                     for key in batch_stats:
                         batch_stats[key] += stats[key]
                     cache_delta.merge(stats["cache"])
-                    for cell, new_entries in executed:
-                        sa_new_total += table.merge(new_entries)
+                    for cell in executed:
                         cells.append(cell)
                         if progress is not None:
                             progress(cell)
@@ -574,7 +554,6 @@ class FlowExecutor:
             self.stats.chunks += n_chunks
             self.stats.schedule_cache_hits += hits
             self.stats.schedule_cache_misses += len(cells) - hits
-            self.stats.sa_new_entries += sa_new_total
             self.stats.sim_batches += batch_stats["batches"]
             self.stats.sim_batched_cells += batch_stats["batched_cells"]
             self.stats.sim_batch_wall_s += batch_stats["batch_wall_s"]
@@ -583,7 +562,6 @@ class FlowExecutor:
             return Submission(
                 cells=cells,
                 results=results,
-                sa_new_entries=sa_new_total,
                 sim_batches=batch_stats["batches"],
                 sim_batched_cells=batch_stats["batched_cells"],
                 sim_batch_wall_s=batch_stats["batch_wall_s"],

@@ -311,7 +311,6 @@ class SweepCell:
     metrics: Dict[str, float]
     runtime_s: float
     schedule_cache_hit: bool
-    sa_new_entries: int
     idle_selects: str = "zero"
     delay_jitter: int = 0
     map_effort: str = "fast"

@@ -432,9 +432,9 @@ STAGES: Dict[str, Stage] = {
             "bind", deps=(), config_fields=(), run=_run_bind,
             extra=lambda p: binder_token(p.binder, p.cfg),
             # Memory-only: binding has a side effect the artifact does
-            # not carry — HLPower populates the run's persistent SA
-            # table. An in-process hit is fine (the same table object
-            # was filled by the computing cell), but a disk hit from a
+            # not carry — HLPower fills the run's in-memory SA table.
+            # An in-process hit is fine (the same table object was
+            # filled by the computing cell), but a disk hit from a
             # previous process would leave the caller's table empty.
             persist_to_disk=False,
         ),

@@ -154,8 +154,6 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
         f"{sweep.schedule_cache_misses} misses",
         f"pipeline stages: {sweep.stage_cache_hits} cached / "
         f"{sweep.stage_cache_misses} computed{hit_rate}",
-        f"SA table: {sweep.sa_precalc_entries} precalculated, "
-        f"{sweep.sa_new_entries} new entries",
     ]
     if sweep.sim_batches:
         segments.append(

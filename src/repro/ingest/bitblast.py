@@ -5,7 +5,7 @@ generators in :mod:`repro.netlist.library` — ripple-carry adders and
 subtractors, the array multiplier, pairwise mux trees, per-bit latches —
 so an ingested design yields a :class:`~repro.netlist.gates.Netlist`
 indistinguishable from the CDFG generator's elaboration output
-(including the same :func:`repro.netlist.transform.clean` pass the
+(including the same :func:`repro.netlist.compile.clean_fast` pass the
 generator path runs).
 
 Naming is deterministic and pinned by golden tests: bit ``b`` of signal
@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import IngestError
 from repro.netlist.blif import parse_blif
+from repro.netlist.compile import clean_fast
 from repro.netlist.gates import GateType, Netlist
 from repro.netlist.library import (
     build_adder,
@@ -28,7 +29,6 @@ from repro.netlist.library import (
     build_subtractor,
     select_width,
 )
-from repro.netlist.transform import clean
 from repro.ingest.module import ExternalDesign, Module, WordOp, parse_module
 
 _BITWISE = {
@@ -81,8 +81,7 @@ def bit_blast(module: Module) -> IngestedDesign:
             for net in bits[signal.name]:
                 netlist.set_output(net)
 
-    clean(netlist)
-    netlist.validate()
+    clean_fast(netlist)
     io_bits = {
         name: bits[name] for name, signal in module.signals.items()
         if signal.is_input or signal.is_output

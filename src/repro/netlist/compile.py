@@ -1,7 +1,16 @@
-"""Worklist netlist cleanup (the compiled elaboration's clean pass).
+"""Netlist cleanup: the one clean pass of the product.
 
-:func:`repro.netlist.transform.propagate_constants` re-walks the whole
-netlist once per folding pass: every pass rebuilds the constant-net
+The structural builders are deliberately literal (a ripple adder always
+instantiates a carry-in constant, an enabled register always has its
+recirculation mux), so elaborated datapaths, ingested designs and the
+SA table's partial datapaths contain constants, buffers and dead cones.
+:func:`clean_fast` normalizes them before technology mapping — the same
+role logic sweeping plays inside Quartus' synthesis, minus any
+restructuring that would change the high-level datapath shape.
+
+The seed constant-propagation pass (``propagate_constants`` in
+``tests/oracles/clean.py``) re-walks the whole netlist once per folding
+pass: every pass rebuilds the constant-net
 dict and the topological order, so a chain of K dependent constants
 costs K full traversals. This module re-implements the fixpoint as a
 worklist over a consumers map built once — each pass only visits the
@@ -15,21 +24,19 @@ the fold results are order-independent, and a gate's inputs can only
 contain constants discovered in the immediately preceding pass (older
 constant inputs were already cofactored away). The worklist's wave
 ``p`` therefore folds exactly the gates reference pass ``p`` folds,
-with the same :func:`~repro.netlist.transform._fold_gate` and the same
+with the same :func:`_fold_gate` and the same
 cumulative constants — same rewrite count, same final gates.
 
-Buffer and dead-logic sweeps are already linear-time; the reference
-implementations run unchanged, so :func:`clean_fast` produces a
-netlist byte-identical to :func:`~repro.netlist.transform.clean`
-(``tests/netlist/test_clean_fast.py`` pins the equivalence).
+The buffer and dead-logic sweeps are flat rewrites of the seed passes,
+so :func:`clean_fast` produces a netlist byte-identical to the seed
+``clean`` (``tests/netlist/test_clean_fast.py`` pins the equivalence).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.gates import Gate, GateType, Netlist
-from repro.netlist.transform import _fold_gate
+from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 
 _CONST_TYPES = (GateType.CONST0, GateType.CONST1)
 
@@ -50,8 +57,30 @@ def make_gate(
     return gate
 
 
+def _fold_gate(gate: Gate, constants: Dict[str, bool]) -> Optional[Gate]:
+    """Cofactor ``gate``'s constant inputs away; None if it has none."""
+    bound = [
+        (pos, constants[name])
+        for pos, name in enumerate(gate.inputs)
+        if name in constants
+    ]
+    if not bound:
+        return None
+    table = gate.table
+    inputs = list(gate.inputs)
+    # Cofactor from the highest index down so positions stay valid.
+    for pos, value in sorted(bound, reverse=True):
+        table = table.cofactor(pos, value)
+        del inputs[pos]
+    constant = table.is_constant()
+    if constant is not None:
+        const_type = GateType.CONST1 if constant else GateType.CONST0
+        return Gate(gate.output, (), TruthTable.constant(constant), const_type)
+    return Gate(gate.output, tuple(inputs), table, table.classify())
+
+
 def propagate_constants_fast(netlist: Netlist) -> int:
-    """Worklist version of :func:`~repro.netlist.transform.propagate_constants`.
+    """Worklist version of the seed ``propagate_constants`` pass.
 
     Returns the same rewrite count and leaves the same gates dict as
     the reference fixpoint.
@@ -109,7 +138,7 @@ def propagate_constants_fast(netlist: Netlist) -> int:
 
 
 def sweep_buffers_fast(netlist: Netlist) -> int:
-    """Flat version of :func:`~repro.netlist.transform.sweep_buffers`.
+    """Flat version of the seed ``sweep_buffers`` pass.
 
     Resolves every buffer alias to its final target up front instead of
     path-compressing lazily per reference, then rewires in one pass.
@@ -163,7 +192,7 @@ def sweep_buffers_fast(netlist: Netlist) -> int:
 
 
 def sweep_dead_fast(netlist: Netlist) -> int:
-    """Flat version of :func:`~repro.netlist.transform.sweep_dead`.
+    """Flat version of the seed ``sweep_dead`` pass.
 
     Same live cone, same removals, same return count; the frontier
     walk just avoids a latch-dict probe for nets that are gates.
@@ -198,10 +227,12 @@ def sweep_dead_fast(netlist: Netlist) -> int:
 
 
 def clean_fast(netlist: Netlist) -> Tuple[int, int, int]:
-    """Drop-in for :func:`~repro.netlist.transform.clean`.
+    """Constant-propagate, drop buffers, and sweep dead logic.
 
-    Same ``(folded, buffers, dead)`` counts, same final netlist; each
-    pass is the worklist/flat twin of its reference transform.
+    Returns ``(folded, buffers, dead)`` counts; the netlist is modified
+    in place and re-validated. Same counts and final netlist as the
+    seed ``clean`` in ``tests/oracles/clean.py``; each pass is the
+    worklist/flat twin of its seed pass.
     """
     folded = propagate_constants_fast(netlist)
     buffers = sweep_buffers_fast(netlist)

@@ -31,7 +31,7 @@ pending computation whose result every waiter shares. Sweeps stream,
 so they are never coalesced with each other.
 
 Shutdown: SIGTERM/SIGINT stop accepting connections, drain the
-in-flight request, persist the SA table if file-backed, and exit 0.
+in-flight request, release the workers, and exit 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.binding import SATable
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.flow.executor import DEFAULT_CACHE_ENTRIES, FlowExecutor
 from repro.flow.grid import SweepSpec, expand_grid
 from repro.serve.api import (
@@ -79,7 +79,7 @@ class ServeConfig:
     cache_entries: int = DEFAULT_CACHE_ENTRIES
     #: Sharded on-disk artifact store shared across restarts/processes.
     cache_dir: Optional[str] = None
-    #: File-backed SA table, saved once at shutdown.
+    #: Precalculated SA table file, read once at start (never written).
     sa_table: Optional[str] = None
     #: Requests queued beyond this respond 503 immediately.
     queue_limit: int = 10000
@@ -111,14 +111,13 @@ class FlowServer:
         executor: Optional[FlowExecutor] = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self._table = (
-            SATable(path=self.config.sa_table)
-            if self.config.sa_table else None
-        )
         self._owns_executor = executor is None
         self.executor = executor or FlowExecutor(
             jobs=self.config.jobs,
-            sa_table=self._table if self._table is not None else None,
+            sa_table=(
+                SATable(path=self.config.sa_table)
+                if self.config.sa_table else None
+            ),
             cache_entries=self.config.cache_entries,
             cache_dir=self.config.cache_dir,
         )
@@ -168,8 +167,6 @@ class FlowServer:
             if not pending.future.done():
                 pending.future.cancel()
         self._inflight.clear()
-        if self._table is not None:
-            self._table.save_if_dirty()
         if self._owns_executor:
             self.executor.shutdown()
 
@@ -430,7 +427,6 @@ class FlowServer:
             summary = {
                 "summary": {
                     "cells": len(submission.cells),
-                    "sa_new_entries": submission.sa_new_entries,
                     "sim_batches": submission.sim_batches,
                     "sim_batched_cells": submission.sim_batched_cells,
                     "sim_batch_wall_s": submission.sim_batch_wall_s,
@@ -563,5 +559,5 @@ def main(args: Any) -> int:
     )
     try:
         return asyncio.run(serve_forever(config))
-    except ConfigError as exc:
+    except ReproError as exc:
         raise SystemExit(f"error: {exc}")

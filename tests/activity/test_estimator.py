@@ -5,7 +5,7 @@ import pytest
 from repro.activity import estimate_switching_activity
 from repro.netlist.gates import GateType, Netlist
 from repro.netlist.library import build_adder, build_multiplier, build_partial_datapath
-from repro.netlist.transform import clean
+from repro.netlist.compile import clean_fast
 
 
 class TestTotals:
@@ -86,7 +86,7 @@ class TestInputOverrides:
         totals = []
         for size in (1, 3, 6):
             netlist = build_partial_datapath("add", size, size, 4)
-            clean(netlist)
+            clean_fast(netlist)
             totals.append(estimate_switching_activity(netlist).total)
         assert totals[0] < totals[1] < totals[2]
 
@@ -94,8 +94,8 @@ class TestInputOverrides:
         """The muxDiff intuition: (4,4) glitches less than (1,7)."""
         balanced = build_partial_datapath("add", 4, 4, 4)
         skewed = build_partial_datapath("add", 1, 7, 4)
-        clean(balanced)
-        clean(skewed)
+        clean_fast(balanced)
+        clean_fast(skewed)
         sa_balanced = estimate_switching_activity(balanced).total
         sa_skewed = estimate_switching_activity(skewed).total
         assert sa_balanced < sa_skewed

@@ -9,6 +9,11 @@ import pytest
 from repro.errors import BindingError
 from repro.binding.sa_table import SATable, SATableConfig
 
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
+SHIPPED_TABLE = os.path.join(_REPO_ROOT, "data", "sa_table.txt")
+
 
 class TestLookup:
     def test_lazy_compute_and_cache(self, sa_table):
@@ -70,54 +75,57 @@ class TestPersistence:
         wide = SATable(SATableConfig(width=4), path)
         assert len(wide) == 0
 
-    def test_malformed_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, reason", [
+        ("add 1 1 garbage", "expected 8 fields"),
+        ("add 1 x 4 4 0 1 1.0", "invalid literal"),
+        ("add 1 1 4 4 0 1 lots", "could not convert"),
+        ("add 1 1 4 4 0 1 nan", "finite and >= 0"),
+        ("add 1 1 4 4 0 1 inf", "finite and >= 0"),
+        ("add 1 1 4 4 0 1 -0.5", "finite and >= 0"),
+        # Validated even when it belongs to another configuration.
+        ("add 1 1 3 4 0 1 nan", "finite and >= 0"),
+        ("div 1 1 4 4 0 1 1.0", "unknown FU class"),
+        ("add 0 1 4 4 0 1 1.0", "mux sizes must be >= 1"),
+        ("add 3 2 4 4 0 1 1.0", "key not normalized"),
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, reason):
         path = tmp_path / "table.txt"
-        path.write_text("add 1 1 garbage\n")
-        with pytest.raises(BindingError):
+        path.write_text(f"# header\nadd 1 1 4 4 0 1 1.0\n{line}\n")
+        with pytest.raises(BindingError) as info:
             SATable(SATableConfig(), str(path))
-
-    def test_save_if_dirty(self, tmp_path):
-        path = str(tmp_path / "table.txt")
-        table = SATable(SATableConfig(width=3), path)
-        table.save_if_dirty()  # nothing computed: no file forced
-        table.get("add", 1, 1)
-        table.save_if_dirty()
-        assert os.path.exists(path)
+        message = str(info.value)
+        assert f"{path}:3" in message
+        assert reason in message
 
 
-def _bulk_entries(n: int):
-    """n synthetic entries per FU class (no estimation, just keys)."""
-    entries = {}
+class TestShippedTable:
+    """``data/sa_table.txt`` is an outside input the flow only reads:
+    it must hold exactly what a fresh table computes, or its fill
+    state would change bindings behind the bind fingerprint's back."""
+
+    def test_every_entry_equals_a_fresh_value(self):
+        shipped = SATable(path=SHIPPED_TABLE)
+        assert len(shipped) > 0
+        fresh = SATable()
+        for key, value in sorted(shipped._values.items()):
+            assert fresh.get(*key) == value, key
+        # The fresh values ran clean_fast on partial datapaths with
+        # multiplexers up to 18 inputs.
+        assert max(key[2] for key in shipped._values) == 18
+
+
+def _write_entries(path, n: int) -> int:
+    """A width-3 table file of n synthetic entries per FU class (no
+    estimation, just keys); returns the entry count."""
+    lines = []
     for fu_class in ("add", "mult"):
-        count = 0
         for mux_a in range(1, n + 1):
             for mux_b in range(mux_a, n + 1):
-                entries[(fu_class, mux_a, mux_b)] = 0.125 * (mux_a + mux_b)
-                count += 1
-    return entries
-
-
-class TestMerge:
-    def test_merge_adds_and_marks_dirty(self, tmp_path):
-        table = SATable(SATableConfig(width=3), str(tmp_path / "t.txt"))
-        added = table.merge({("add", 1, 1): 1.5, ("add", 1, 2): 2.5})
-        assert added == 2
-        assert len(table) == 2
-        table.save_if_dirty()  # dirty after merge -> file appears
-        assert os.path.exists(table.path)
-
-    def test_merge_never_overwrites(self):
-        table = SATable(SATableConfig(width=3))
-        table.merge({("add", 1, 1): 1.5})
-        assert table.merge({("add", 1, 1): 99.0}) == 0
-        assert table.get("add", 1, 1) == 1.5
-
-    def test_snapshot_is_a_copy(self):
-        table = SATable(SATableConfig(width=3))
-        table.merge({("add", 1, 1): 1.5})
-        snapshot = table.snapshot()
-        snapshot[("add", 2, 2)] = 9.0
-        assert len(table) == 1
+                value = 0.125 * (mux_a + mux_b)
+                lines.append(f"{fu_class} {mux_a} {mux_b} 3 4 0 1 {value}")
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return len(lines)
 
 
 class TestProcessSafeSave:
@@ -126,20 +134,18 @@ class TestProcessSafeSave:
 
     def test_concurrent_saves_never_corrupt(self, tmp_path):
         path = str(tmp_path / "table.txt")
-        entries = _bulk_entries(18)  # ~340 lines, several write() calls
+        # ~340 lines, several write() calls per save.
+        n_entries = _write_entries(path, 18)
         table = SATable(SATableConfig(width=3), path)
-        table.merge(entries)
         table.save()
 
         errors = []
 
         def hammer():
-            local = SATable(SATableConfig(width=3))
-            local.merge(entries)
-            local.path = path
+            local = SATable(SATableConfig(width=3), path)
             try:
                 for _ in range(20):
-                    local.save()
+                    local.save(path)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -150,17 +156,17 @@ class TestProcessSafeSave:
         # observable file state must parse and be complete.
         while any(thread.is_alive() for thread in writers):
             reloaded = SATable(SATableConfig(width=3), path)
-            assert len(reloaded) == len(entries)
+            assert len(reloaded) == n_entries
         for thread in writers:
             thread.join()
         assert errors == []
         reloaded = SATable(SATableConfig(width=3), path)
-        assert len(reloaded) == len(entries)
+        assert len(reloaded) == n_entries
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = str(tmp_path / "table.txt")
+        _write_entries(path, 4)
         table = SATable(SATableConfig(width=3), path)
-        table.merge(_bulk_entries(4))
         table.save()
         leftovers = [
             name
@@ -170,28 +176,28 @@ class TestProcessSafeSave:
         assert leftovers == []
 
     def test_save_preserves_file_permissions(self, tmp_path):
+        source = str(tmp_path / "source.txt")
+        _write_entries(source, 1)
         path = str(tmp_path / "table.txt")
-        table = SATable(SATableConfig(width=3), path)
-        table.merge({("add", 1, 1): 1.0})
-        table.save()
+        table = SATable(SATableConfig(width=3), source)
+        table.save(path)
         umask = os.umask(0)
         os.umask(umask)
         # A fresh file honors the umask, not mkstemp's 0600 default.
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
         os.chmod(path, 0o604)
-        table.merge({("add", 1, 2): 2.0})
-        table.save()
+        table.save(path)
         assert os.stat(path).st_mode & 0o777 == 0o604
 
     def test_failed_save_cleans_temp_and_keeps_old_file(self, tmp_path):
         path = str(tmp_path / "table.txt")
+        _write_entries(path, 1)
         table = SATable(SATableConfig(width=3), path)
-        table.merge({("add", 1, 1): 1.0})
         table.save()
         before = open(path).read()
 
         # Corrupt the in-memory values so formatting raises mid-write.
-        table.merge({("mult", 1, 1): "not-a-float"})
+        table._values[("mult", 1, 1)] = "not-a-float"
         with pytest.raises(Exception):
             table.save()
         assert open(path).read() == before  # old content intact

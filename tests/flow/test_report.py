@@ -25,7 +25,7 @@ def estimate_cell(config: str, sa: float) -> SweepCell:
         metrics={"estimated_sa": sa, "glitch_fraction": 0.25,
                  "area_luts": 100, "largest_mux": 6,
                  "clock_period_ns": 12.0},
-        runtime_s=1.5, schedule_cache_hit=False, sa_new_entries=2,
+        runtime_s=1.5, schedule_cache_hit=False,
         stage_timings={"bind": 0.25, "techmap": 1.0, "elaborate": 0.5},
     )
 
@@ -37,7 +37,7 @@ def full_cell(seed: int, effort: str, power: float) -> SweepCell:
         metrics={"dynamic_power_mw": power, "toggle_rate_mhz": 4.0,
                  "area_luts": 100, "largest_mux": 6,
                  "clock_period_ns": 12.0},
-        runtime_s=1.5, schedule_cache_hit=True, sa_new_entries=0,
+        runtime_s=1.5, schedule_cache_hit=True,
         map_effort=effort,
     )
 
@@ -76,7 +76,6 @@ class TestSweepSummaryBytes:
                    estimate_cell("hlpower", 30.0)],
             jobs=1, wall_s=3.25,
             schedule_cache_hits=1, schedule_cache_misses=1,
-            sa_precalc_entries=5, sa_new_entries=2,
             stage_cache_hits=3, stage_cache_misses=7,
         )
         assert format_sweep_summary(sweep) == (
@@ -87,8 +86,7 @@ class TestSweepSummaryBytes:
             "pr      lopass    40.0   25.0%    12.0   100        6   +0.00%\n"
             "pr     hlpower    30.0   25.0%    12.0   100        6  -25.00%\n"
             "elaboration cache: 1 hits / 1 misses; "
-            "pipeline stages: 3 cached / 7 computed (30% hit rate); "
-            "SA table: 5 precalculated, 2 new entries\n"
+            "pipeline stages: 3 cached / 7 computed (30% hit rate)\n"
             "stage wall: bind 0.50s, elaborate 1.00s, techmap 2.00s"
         )
 
@@ -105,7 +103,6 @@ class TestSweepSummaryBytes:
                    full_cell(8, "exhaustive", 3.0)],
             jobs=2, wall_s=10.0,
             schedule_cache_hits=3, schedule_cache_misses=1,
-            sa_precalc_entries=0, sa_new_entries=0,
             sim_batches=1, sim_batched_cells=4, sim_batch_wall_s=0.5,
         )
         assert format_sweep_summary(sweep) == (
@@ -121,6 +118,5 @@ class TestSweepSummaryBytes:
             "        6   n/a\n"
             "elaboration cache: 3 hits / 1 misses; "
             "pipeline stages: 0 cached / 0 computed; "
-            "SA table: 0 precalculated, 0 new entries; "
             "batched simulation: 4 cells in 1 kernel passes (0.5s)"
         )

@@ -1,20 +1,22 @@
 """Differential pinning: the worklist ``clean_fast`` vs the seed ``clean``.
 
-``repro.netlist.compile.clean_fast`` must be a pure speedup of
-``repro.netlist.transform.clean`` — same fold/buffer/dead counts and a
+``repro.netlist.compile.clean_fast`` must be a pure speedup of the seed
+``clean`` in ``tests/oracles/clean.py`` — same fold/buffer/dead counts and a
 gate-for-gate identical result (names, insertion order, tables,
 latches, BLIF bytes). The suite drives both over hypothesis-generated
 netlists biased toward the pathological shapes the worklist passes
 must handle: deep buffer chains (path compression), constant cones
 (multi-wave folding), and dangling fanout (dead-cone removal).
 
-The golden class freezes the cleaned gate counts of all seven paper
+The ingest class replays the bit-blaster's pre-clean netlists of the
+shipped word-level modules. The golden class freezes the cleaned gate counts of all seven paper
 benchmarks — a cheap tripwire for any change that shifts what the
 cleanup removes.
 """
 
 import copy
 import io
+import os
 import random
 
 import pytest
@@ -23,7 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.netlist.blif import write_blif
 from repro.netlist.compile import clean_fast
 from repro.netlist.gates import GateType, Netlist
-from repro.netlist.transform import clean
+from tests.oracles.clean import clean
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
 
 #: Gate types the random builder draws from, with their arities.
 _DRAWABLE = (
@@ -170,6 +176,42 @@ class TestCleanFastDirected:
         y = netlist.add_simple(GateType.MUX, (one, a, b), "y")
         netlist.set_output(y)
         assert_clean_equivalent(netlist)
+
+
+def _ingest_fixtures():
+    """Every word-level module the ingest suites and examples ship."""
+    from repro.ingest import parse_module
+    from tests.ingest.test_bitblast import TINY
+    from tests.ingest.test_flow import TINY_TEXT
+    from tests.ingest.test_module import VALID
+
+    with open(os.path.join(_REPO_ROOT, "examples", "mac4.json")) as handle:
+        mac4 = handle.read()
+    return {"bitblast-tiny": TINY, "flow-tiny": parse_module(TINY_TEXT),
+            "module-valid": parse_module(VALID),
+            "examples-mac4": parse_module(mac4)}
+
+
+class TestCleanFastIngest:
+    """The bit-blaster's netlists, taken just before its clean pass."""
+
+    @pytest.mark.parametrize(
+        "name", ["bitblast-tiny", "flow-tiny", "module-valid",
+                 "examples-mac4"],
+    )
+    def test_ingest_fixture(self, name, monkeypatch):
+        import repro.ingest.bitblast as bitblast
+
+        checked = []
+
+        def checked_clean(netlist):
+            assert_clean_equivalent(netlist)
+            checked.append(netlist.num_gates())
+            return clean_fast(netlist)
+
+        monkeypatch.setattr(bitblast, "clean_fast", checked_clean)
+        bitblast.bit_blast(_ingest_fixtures()[name])
+        assert checked and checked[0] > 0
 
 
 #: Cleaned gate counts of the seven paper benchmarks (fast elaborator,

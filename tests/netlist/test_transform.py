@@ -1,4 +1,4 @@
-"""Tests for netlist cleanup transforms."""
+"""Tests for the seed netlist cleanup passes (the ``clean_fast`` oracle)."""
 
 import random
 
@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist.gates import GateType, Netlist
 from repro.netlist.library import build_partial_datapath
-from repro.netlist.transform import (
+from tests.conftest import evaluate_netlist
+from tests.oracles.clean import (
     clean,
     propagate_constants,
     sweep_buffers,
     sweep_dead,
 )
-
-from tests.conftest import evaluate_netlist
 
 
 class TestConstantPropagation:

@@ -11,6 +11,7 @@ stage      oracle                       product engine
 bind       ``bind_hlpower_reference``,  :func:`repro.binding.bind_hlpower`,
            ``bind_lopass_reference``    :func:`repro.binding.bind_lopass`
 elaborate  ``elaborate_reference``      :func:`repro.fpga.elaborate_datapath`
+clean      ``clean.clean``              :func:`repro.netlist.compile.clean_fast`
 techmap    ``map_reference``            :func:`repro.techmap.map_netlist`
 simulate   ``simulate_reference``,      :func:`repro.fpga.simulate_design`,
            ``simulate_batch_reference`` :func:`repro.fpga.simulate_batch`

@@ -1,4 +1,4 @@
-"""Netlist cleanup transforms.
+"""Seed netlist cleanup passes (oracle for ``clean_fast``).
 
 The structural builders are deliberately literal (a ripple adder always
 instantiates a carry-in constant, an enabled register always has its
@@ -7,13 +7,19 @@ and dead cones. These transforms normalize the netlist before
 technology mapping — the same role logic sweeping plays inside Quartus'
 synthesis, minus any restructuring that would change the high-level
 datapath shape (the paper explicitly disables such optimizations).
+
+The product runs :func:`repro.netlist.compile.clean_fast`, the
+worklist/flat rewrite of these passes; the seed passes live here as
+its differential oracle (``tests/netlist/test_clean_fast.py``).
+Both share the per-gate fold, :func:`repro.netlist.compile._fold_gate`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
+from repro.netlist.compile import _fold_gate
+from repro.netlist.gates import Gate, GateType, Netlist
 
 
 def propagate_constants(netlist: Netlist) -> int:
@@ -49,27 +55,6 @@ def _constant_nets(netlist: Netlist) -> Dict[str, bool]:
         elif value is not None:
             constants[net] = value
     return constants
-
-
-def _fold_gate(gate: Gate, constants: Dict[str, bool]) -> Optional[Gate]:
-    bound = [
-        (pos, constants[name])
-        for pos, name in enumerate(gate.inputs)
-        if name in constants
-    ]
-    if not bound:
-        return None
-    table = gate.table
-    inputs = list(gate.inputs)
-    # Cofactor from the highest index down so positions stay valid.
-    for pos, value in sorted(bound, reverse=True):
-        table = table.cofactor(pos, value)
-        del inputs[pos]
-    constant = table.is_constant()
-    if constant is not None:
-        const_type = GateType.CONST1 if constant else GateType.CONST0
-        return Gate(gate.output, (), TruthTable.constant(constant), const_type)
-    return Gate(gate.output, tuple(inputs), table, table.classify())
 
 
 def sweep_buffers(netlist: Netlist) -> int:

@@ -2,7 +2,7 @@
 
 Instantiates the structural library netlist of every component
 instance through :meth:`Netlist.instantiate` and sweeps the result
-with the seed :func:`repro.netlist.transform.clean`. Kept as the
+with the seed ``clean`` (:mod:`tests.oracles.clean`). Kept as the
 differential oracle for the template-stamped elaborator
 (:func:`repro.fpga.elaborate_datapath`), which must produce the same
 netlist byte for byte, gate insertion order included.
@@ -22,8 +22,8 @@ from repro.netlist.library import (
     build_register,
     select_width,
 )
-from repro.netlist.transform import clean
 from repro.rtl.datapath import Datapath, FUSpec, MuxSpec, SourceRef
+from tests.oracles.clean import clean
 
 
 def elaborate_reference(datapath: Datapath) -> ElaboratedDesign:

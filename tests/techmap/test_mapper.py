@@ -12,7 +12,7 @@ from repro.netlist.library import (
     build_partial_datapath,
     build_register,
 )
-from repro.netlist.transform import clean
+from repro.netlist.compile import clean_fast
 from repro.techmap import map_netlist
 
 from tests.conftest import evaluate_netlist
@@ -31,25 +31,25 @@ def assert_equivalent(original: Netlist, mapped: Netlist, seed: int = 0):
 class TestCorrectness:
     def test_adder_equivalence(self):
         netlist = build_adder(6)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert_equivalent(netlist, result.netlist)
 
     def test_multiplier_equivalence(self):
         netlist = build_multiplier(4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert_equivalent(netlist, result.netlist)
 
     def test_partial_datapath_equivalence(self):
         netlist = build_partial_datapath("mult", 3, 2, 4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert_equivalent(netlist, result.netlist)
 
     def test_k_bound_respected(self):
         netlist = build_adder(8)
-        clean(netlist)
+        clean_fast(netlist)
         for k in (3, 4, 5):
             result = map_netlist(netlist, k=k)
             widest = max(
@@ -65,7 +65,7 @@ class TestCorrectness:
 
     def test_output_names_survive(self):
         netlist = build_adder(4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert result.netlist.outputs == netlist.outputs
 
@@ -82,26 +82,26 @@ class TestCorrectness:
 class TestQuality:
     def test_mapping_reduces_node_count(self):
         netlist = build_adder(8)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert result.area < netlist.num_gates()
 
     def test_area_counts_luts(self):
         netlist = build_adder(4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert result.area == result.netlist.num_gates()
 
     def test_depth_le_gate_depth(self):
         netlist = build_multiplier(4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert result.depth <= netlist.depth()
         assert result.depth >= 1
 
     def test_sa_accounting_consistent(self):
         netlist = build_adder(5)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         assert result.total_sa == pytest.approx(sum(result.lut_sa.values()))
         assert result.glitch_sa == pytest.approx(
@@ -111,7 +111,7 @@ class TestQuality:
 
     def test_glitch_blind_mode_reports_no_glitch(self):
         netlist = build_adder(5)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist, glitch_aware=False)
         assert result.glitch_sa == pytest.approx(0.0)
 
@@ -119,14 +119,14 @@ class TestQuality:
         """The glitch-aware model must see activity a zero-delay model
         misses on ripple structures (the paper's motivation)."""
         netlist = build_adder(8)
-        clean(netlist)
+        clean_fast(netlist)
         aware = map_netlist(netlist, glitch_aware=True)
         blind = map_netlist(netlist, glitch_aware=False)
         assert aware.total_sa > blind.total_sa
 
     def test_input_activity_override(self):
         netlist = build_adder(4)
-        clean(netlist)
+        clean_fast(netlist)
         quiet = map_netlist(
             netlist,
             input_activities={pi: 0.0 for pi in netlist.inputs},
@@ -135,7 +135,7 @@ class TestQuality:
 
     def test_selected_cuts_cover_all_luts(self):
         netlist = build_adder(4)
-        clean(netlist)
+        clean_fast(netlist)
         result = map_netlist(netlist)
         for net, gate in result.netlist.gates.items():
             assert result.selected_cuts[net] == gate.inputs

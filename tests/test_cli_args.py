@@ -89,6 +89,13 @@ def test_retired_engine_flags_rejected(command, flag):
         build_parser().parse_args(argv + [flag, "reference"])
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--precalc-mux", "4"],
+                                  ["corpus", "--profile"]])
+def test_retired_flags_rejected(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
 def test_reference_map_effort_rejected(commands):
     with pytest.raises(argparse.ArgumentTypeError):
         _flag_action(commands["sweep"], "--map-effort").type("reference")
